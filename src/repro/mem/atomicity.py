@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..core.designs import DesignPolicy
-from .events import _COUNTER_PERSIST, _DATA_PERSIST, _FLUSH_EVERY, _PAIR, EventBus
+from .events import COUNTER_PERSIST, DATA_PERSIST, PAIR
 from .writequeue import _INF, WriteQueue, WriteQueueEntry
 
 if TYPE_CHECKING:
@@ -148,7 +148,7 @@ class UnpairedAtomicity:
         """Unpaired data write: coalesce or enqueue, drain when banks allow.
 
         Hot path: the queue probe/accept/ready/drain-time mechanics and
-        the stats emit are inlined — bit-identical to the composed
+        the record emit are inlined — bit-identical to the composed
         calls (``docs/performance.md``) — because every plain clwb and
         dirty data eviction funnels through here.
         """
@@ -173,15 +173,12 @@ class UnpairedAtomicity:
                 ctrl.journal.amend_data(
                     entry.entry_id, payload, encrypted_with, effective_ns=request_ns
                 )
-            if events._generic:
-                EventBus.emit_data_persist(
-                    events, line, CACHE_LINE_SIZE, True, request_ns, drain_ns
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, True, 0.0))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
+            records = events.records
+            records.append(
+                (DATA_PERSIST, line, CACHE_LINE_SIZE, True, request_ns, drain_ns, 0.0)
+            )
+            if len(records) >= events.flush_every:
+                events.flush()
             return WriteTicket(
                 address=line,
                 accept_ns=request_ns,
@@ -229,21 +226,12 @@ class UnpairedAtomicity:
                 ready_ns=accept_ns,
                 drain_ns=drain,
             )
-        if events._generic:
-            EventBus.emit_data_persist(
-                events,
-                line,
-                CACHE_LINE_SIZE,
-                False,
-                accept_ns,
-                drain,
-                accept_wait_ns=accept_ns - request_ns,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, False, accept_ns - request_ns))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records = events.records
+        records.append(
+            (DATA_PERSIST, line, CACHE_LINE_SIZE, False, accept_ns, drain, accept_ns - request_ns)
+        )
+        if len(records) >= events.flush_every:
+            events.flush()
         return WriteTicket(
             address=line, accept_ns=accept_ns, drain_ns=drain, paired=False, coalesced=False
         )
@@ -314,11 +302,11 @@ class UnpairedAtomicity:
                 candidate_ctr, None, 0, counter_values=(group_base, counters)
             )
             ready_ns = request_ns + self.pair_ready_latency_ns
-            ctrl.events.emit_data_persist(
-                line, CACHE_LINE_SIZE, True, ready_ns, candidate_data.drain_ns
+            events.emit(
+                (DATA_PERSIST, line, CACHE_LINE_SIZE, True, ready_ns, candidate_data.drain_ns, 0.0)
             )
-            ctrl.events.emit_counter_persist(
-                counter_line, 0, True, True, ready_ns, candidate_ctr.drain_ns
+            events.emit(
+                (COUNTER_PERSIST, counter_line, 0, True, True, ready_ns, candidate_ctr.drain_ns)
             )
             if ctrl.journal.enabled:
                 ctrl.journal.amend_data(
@@ -330,7 +318,7 @@ class UnpairedAtomicity:
             ctrl.device.persist_line(line, payload, counter)
             ctrl.counter_store.write_counter_line(group_base, counters)
             settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, ready_ns)
-            ctrl.events.emit_pair(line, settled_ns, 0.0, lag_forced, True)
+            events.emit((PAIR, line, settled_ns, 0.0, lag_forced, True))
             return WriteTicket(
                 address=line,
                 accept_ns=settled_ns,
@@ -378,15 +366,10 @@ class UnpairedAtomicity:
             ready_ns = max(pair_time, merged.accept_ns) + self.pair_ready_latency_ns
             counter_drain = merged.drain_ns
             counter_entry_id = merged.entry_id
-            if events._generic:
-                EventBus.emit_counter_persist(
-                    events, counter_line, 0, True, True, ready_ns, counter_drain
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_COUNTER_PERSIST, 0, True))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
+            records = events.records
+            records.append((COUNTER_PERSIST, counter_line, 0, True, True, ready_ns, counter_drain))
+            if len(records) >= events.flush_every:
+                events.flush()
             if ctrl.journal.enabled:
                 ctrl.journal.amend_counter(
                     merged.entry_id, group_base, counters, effective_ns=ready_ns
@@ -423,16 +406,15 @@ class UnpairedAtomicity:
             heappush(counter_slots, counter_issue)
             if len(counter_slots) > counter_queue.peak_occupancy:
                 counter_queue.peak_occupancy = len(counter_slots)
-            if events._generic:
-                EventBus.emit_counter_persist(
-                    events, counter_line, counter_bytes, False, True,
+            records = events.records
+            records.append(
+                (
+                    COUNTER_PERSIST, counter_line, counter_bytes, False, True,
                     counter_accept, counter_drain,
                 )
-            else:
-                buffer = events._buffer
-                buffer.append((_COUNTER_PERSIST, counter_bytes, False))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
+            )
+            if len(records) >= events.flush_every:
+                events.flush()
             if ctrl.journal.enabled:
                 ctrl.journal.record_counter(
                     address=counter_line,
@@ -456,15 +438,10 @@ class UnpairedAtomicity:
         heappush(data_slots, data_issue)
         if len(data_slots) > data_queue.peak_occupancy:
             data_queue.peak_occupancy = len(data_slots)
-        if events._generic:
-            EventBus.emit_data_persist(
-                events, line, CACHE_LINE_SIZE, False, pair_time, data_drain
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, False, 0.0))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records = events.records
+        records.append((DATA_PERSIST, line, CACHE_LINE_SIZE, False, pair_time, data_drain, 0.0))
+        if len(records) >= events.flush_every:
+            events.flush()
 
         ctrl.device.persist_line(line, payload, counter)
         ctrl.counter_store.write_counter_line(group_base, counters)
@@ -480,16 +457,12 @@ class UnpairedAtomicity:
                 drain_ns=data_drain,
                 partner_id=counter_entry_id,
             )
-        if events._generic:
-            EventBus.emit_pair(
-                events, line, settled_ns, settled_ns - request_ns, lag_forced,
-                merged is not None,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_PAIR, settled_ns - request_ns, lag_forced))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records = events.records
+        records.append(
+            (PAIR, line, settled_ns, settled_ns - request_ns, lag_forced, merged is not None)
+        )
+        if len(records) >= events.flush_every:
+            events.flush()
         return WriteTicket(
             address=line,
             accept_ns=settled_ns,
@@ -513,8 +486,8 @@ class UnpairedAtomicity:
             counter_line, request_ns, None, 0, counter_values=(group_base, counters)
         )
         if coalesced is not None:
-            ctrl.events.emit_counter_persist(
-                counter_line, 0, True, False, request_ns, coalesced.drain_ns
+            ctrl.events.emit(
+                (COUNTER_PERSIST, counter_line, 0, True, False, request_ns, coalesced.drain_ns)
             )
             ctrl.counter_store.write_counter_line(group_base, counters)
             settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, request_ns)
@@ -554,8 +527,8 @@ class UnpairedAtomicity:
                 drain_ns=drain,
                 entry_id=entry.entry_id,
             )
-        ctrl.events.emit_counter_persist(
-            counter_line, counter_bytes, False, False, entry.accept_ns, drain
+        ctrl.events.emit(
+            (COUNTER_PERSIST, counter_line, counter_bytes, False, False, entry.accept_ns, drain)
         )
         return WriteTicket(
             address=counter_line,

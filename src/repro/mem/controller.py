@@ -16,10 +16,10 @@ axes select three strategy objects:
 The controller itself keeps only what the layers share: the NVM device
 and its bank/bus timing models, the counter store and encryption
 engine, the read queue, the drain scheduler, the persist journal, and
-the event bus (:mod:`repro.mem.events`) that every observable action is
-emitted on.  Statistics are derived from the event stream by a bus
-subscriber rather than incremented inline; see ``docs/architecture.md``
-for the layer diagram and the bus contract.
+the event record stream (:mod:`repro.mem.events`) that every observable
+action is appended to.  Statistics are folded from the record stream
+rather than incremented inline; see ``docs/architecture.md`` for the
+layer diagram and the stream contract.
 
 Timing contract: every public operation takes the requester's current
 time and returns absolute completion/acceptance times.  Functionally,
@@ -47,16 +47,7 @@ from ..nvm.device import NVMDevice, _ZERO_PERSISTED
 from ..nvm.timing import BankTimingModel, BusModel
 from ..persist.journal import PersistJournal
 from .atomicity import UnpairedAtomicity, WriteTicket, build_atomicity
-from .events import (
-    _FLUSH_EVERY,
-    _READ,
-    _WRITE_REQUEST_RECORD,
-    BatchingEventBus,
-    ControllerStats,
-    EventBus,
-    JsonlTraceSubscriber,
-    StatsSubscriber,
-)
+from .events import CCWB, CCWB_FLUSH, DRAIN, READ, WRITE_REQUEST, ControllerStats, EventStream
 from .integrity_policy import NoIntegrity, build_integrity
 from .layout import COLOCATED_PAYLOAD, PlainLayout, ReadResult, build_layout
 from .writequeue import EntryIdAllocator, WriteQueue
@@ -112,20 +103,10 @@ class MemoryController:
         # unique; owning the allocator (instead of a module global)
         # makes entry ids reproducible across checkpoint/restore.
         self.entry_ids = EntryIdAllocator()
-        # The event bus: stats derive from the stream; an optional JSONL
-        # trace subscriber gives campaigns an observability hook.  The
-        # batching bus folds stats over compact record vectors when no
-        # generic subscriber is attached (``docs/performance.md``).
-        self.events = BatchingEventBus()
-        self._stats = StatsSubscriber()
-        self.events.subscribe(self._stats)
-        self._trace: Optional[JsonlTraceSubscriber] = None
-        if config.controller.event_trace_path:
-            self._trace = JsonlTraceSubscriber(
-                config.controller.event_trace_path,
-                flush_every=config.controller.event_trace_flush_every,
-            )
-            self.events.subscribe(self._trace)
+        # The event record stream: stats are folded from it, and an
+        # optional JSONL trace gives campaigns an observability hook
+        # (``docs/performance.md``).
+        self.events = EventStream(config.controller.event_trace_path or None)
         self._fifo_drain = config.controller.drain_policy == "fifo"
         self._last_drain = {"data": 0.0, "counter": 0.0, "tree": 0.0}
         self._counter_hold_ns = config.controller.counter_drain_hold_ns
@@ -154,7 +135,7 @@ class MemoryController:
     @property
     def stats(self) -> ControllerStats:
         self.events.flush()
-        return self._stats.stats
+        return self.events.stats
 
     @property
     def data_queue(self) -> WriteQueue:
@@ -199,7 +180,7 @@ class MemoryController:
         """Fetch and (if encrypted) decrypt one data line.
 
         Hot path: the slot scan, bank/bus scheduling, device fetch and
-        stats emit are inlined — bit-identical to the composed calls
+        record emit are inlined — bit-identical to the composed calls
         (``docs/performance.md``) — because every simulated miss and
         counter fill funnels through here.
         """
@@ -258,18 +239,14 @@ class MemoryController:
         device.line_reads += 1
         stored = device._lines.get(line, _ZERO_PERSISTED)
         result = self.layout.complete_read(line, request_ns, data_arrival, stored.payload)
-        # Stats emit (== BatchingEventBus.emit_read).
+        # Record emit (== EventStream.emit).
         events = self.events
-        if events._generic:
-            EventBus.emit_read(
-                events, line, request_ns, result.complete_ns, payload_bytes,
-                result.counter_cache_hit,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_READ, request_ns, result.complete_ns, payload_bytes))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records = events.records
+        records.append(
+            (READ, line, request_ns, result.complete_ns, payload_bytes, result.counter_cache_hit)
+        )
+        if len(records) >= events.flush_every:
+            events.flush()
         return result
 
     # ------------------------------------------------------------------
@@ -285,15 +262,12 @@ class MemoryController:
     ) -> WriteTicket:
         """Accept one data-line writeback (clwb or cache eviction)."""
         line = address & _LINE_MASK
-        # Stats emit (== BatchingEventBus.emit_write_request).
+        # Record emit (== EventStream.emit).
         events = self.events
-        if events._generic:
-            EventBus.emit_write_request(events, line, request_ns, counter_atomic)
-        else:
-            buffer = events._buffer
-            buffer.append(_WRITE_REQUEST_RECORD)
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records = events.records
+        records.append((WRITE_REQUEST, line, request_ns, counter_atomic))
+        if len(records) >= events.flush_every:
+            events.flush()
         return self.layout.write_line(line, payload, request_ns, counter_atomic)
 
     def drain_write(
@@ -352,9 +326,8 @@ class MemoryController:
         banks.writes += 1
         if self._fifo_drain:
             self._last_drain[role] = complete
-        events = self.events
-        if events._generic:
-            EventBus.emit_drain(events, role, address, issue, complete)
+        if self.events.trace_path is not None:
+            self.events.emit((DRAIN, role, address, issue, complete))
         return issue, complete
 
     # ------------------------------------------------------------------
@@ -368,13 +341,13 @@ class MemoryController:
         ccwb support or the line is clean (a no-op, per the paper).
         The flushed entry's ready bit is always set — it is not paired.
         """
-        self.events.emit_ccwb(address, request_ns)
+        self.events.emit((CCWB, address, request_ns))
         if self.engine is None or not self.policy.ccwb_enabled:
             return None
         flushed = self.engine.counter_cache.writeback_line(address)
         if flushed is None:
             return None
-        self.events.emit_ccwb_flush(address, request_ns)
+        self.events.emit((CCWB_FLUSH, address, request_ns))
         ticket = self.atomicity.writeback_counter_line(flushed, request_ns)
         self.integrity.on_ccwb(request_ns)
         return ticket
@@ -419,8 +392,8 @@ class MemoryController:
         Covers every mutable structure the timing and functional paths
         touch, layer by layer; config-derived objects (address map,
         cipher, policy, the strategy objects themselves) are rebuilt
-        from config on restore.  The event-trace subscriber is not
-        state — a restored run re-appends to its trace.
+        from config on restore.  The event trace is not state — a
+        restored run re-appends to its trace.
         """
         return {
             "device": self.device.get_state(),
@@ -455,4 +428,4 @@ class MemoryController:
         self.read_queue_peak = state["read_queue_peak"]
         self.total_read_queue_wait_ns = state["total_read_queue_wait_ns"]
         self.journal.set_state(state["journal"])
-        self._stats.stats = ControllerStats(**state["stats"])
+        self.events.stats = ControllerStats(**state["stats"])

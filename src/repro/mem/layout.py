@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..core.designs import DesignPolicy
 from .atomicity import WriteTicket
-from .events import _DATA_PERSIST, _FLUSH_EVERY, EventBus
+from .events import COUNTER_FETCH, DATA_PERSIST
 from .writequeue import _INF, WriteQueueEntry
 
 if TYPE_CHECKING:
@@ -148,7 +148,7 @@ class ColocatedLayout(PlainLayout):
         queue = ctrl.atomicity.data_queue
         events = ctrl.events
         counter_line = ctrl.address_map.counter_line_address_of(line)
-        # Hot path: queue probe/accept/drain-time and the stats emit are
+        # Hot path: queue probe/accept/drain-time and the record emit are
         # inlined, bit-identical to the composed calls (see
         # docs/performance.md); colocated entries are never
         # counter-atomic, but keep the probe's filter for exactness.
@@ -178,15 +178,12 @@ class ColocatedLayout(PlainLayout):
                     drain_ns=drain_ns,
                     single_slot=True,
                 )
-            if events._generic:
-                EventBus.emit_data_persist(
-                    events, line, COLOCATED_PAYLOAD, True, request_ns, drain_ns
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_DATA_PERSIST, COLOCATED_PAYLOAD, True, 0.0))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
+            records = events.records
+            records.append(
+                (DATA_PERSIST, line, COLOCATED_PAYLOAD, True, request_ns, drain_ns, 0.0)
+            )
+            if len(records) >= events.flush_every:
+                events.flush()
             return WriteTicket(
                 address=line,
                 accept_ns=request_ns,
@@ -241,21 +238,15 @@ class ColocatedLayout(PlainLayout):
                 drain_ns=drain,
                 single_slot=True,
             )
-        if events._generic:
-            EventBus.emit_data_persist(
-                events,
-                line,
-                COLOCATED_PAYLOAD,
-                False,
-                accept_ns,
-                drain,
-                accept_wait_ns=accept_ns - request_ns,
+        records = events.records
+        records.append(
+            (
+                DATA_PERSIST, line, COLOCATED_PAYLOAD, False, accept_ns, drain,
+                accept_ns - request_ns,
             )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, COLOCATED_PAYLOAD, False, accept_ns - request_ns))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        )
+        if len(records) >= events.flush_every:
+            events.flush()
         return WriteTicket(
             address=line, accept_ns=accept_ns, drain_ns=drain, paired=False, coalesced=False
         )
@@ -308,7 +299,7 @@ class SplitCounterLayout(PlainLayout):
         row = ctrl.address_map.row_of(counter_line)
         access = ctrl.banks.schedule_read(bank, request_ns, row=row)
         arrival = ctrl.bus.schedule_transfer(access.complete_ns, CACHE_LINE_SIZE)
-        ctrl.events.emit_counter_fetch(counter_line, request_ns, CACHE_LINE_SIZE)
+        ctrl.events.emit((COUNTER_FETCH, counter_line, request_ns, CACHE_LINE_SIZE))
         if ctrl.integrity.tree is not None:
             # The fetched counters cannot be trusted (used for OTPs)
             # until their tree path authenticates.
