@@ -1,6 +1,6 @@
 """Chaos harness: seeded worker faults + the exactly-once invariant.
 
-The work-queue backend claims the same discipline for the *harness*
+The lease work queue claims the same discipline for the *harness*
 that selective counter-atomicity claims for the simulated memory
 controller: no write (job result) is silently lost or duplicated
 across a crash.  This module is how that claim is tested rather than
@@ -12,10 +12,12 @@ exactly once, so chaos runs always terminate):
 
 ``kill``
     The worker ``_exit``\\ s mid-job, lease held, nothing published —
-    a crashed worker.  Recovery: lease expiry -> reclamation -> re-run.
+    a crashed worker.  Recovery: lease expiry -> reclamation -> re-run
+    on a respawned worker.
 ``stall``
-    The worker goes silent (stops heartbeating) while holding the
-    lease, then abandons the job — a hung worker.  Same recovery path.
+    The worker goes silent (stops renewing its lease) while holding
+    it — a hung worker.  Recovery: lease expiry -> the coordinator
+    terminates the holder -> reclamation -> re-run.
 ``corrupt``
     The worker publishes a result whose payload no longer matches its
     checksum — a lying worker.  Recovery: frame verification ->
@@ -26,7 +28,7 @@ exactly once, so chaos runs always terminate):
     publication must be dropped as a duplicate, never double-counted.
 
 The invariant checked by :func:`run_chaos_campaign`: a seeded campaign
-run on the workqueue backend under chaos completes with triage counts
+run on the work queue under chaos completes with triage counts
 *bit-identical* to the same campaign run serially, with zero lost and
 zero duplicated job results in the executor stats.
 """
@@ -54,7 +56,7 @@ class ChaosPlan:
 
     ``faults_by_job`` maps a job *index* (position in the submitted
     batch) to the fault kinds injected into that job's claims.  The
-    workqueue backend translates indices to job ids at dispatch time,
+    work queue translates indices to job ids at dispatch time,
     and workers latch each (job, fault) pair exactly once.
     """
 
@@ -154,12 +156,11 @@ def run_chaos_campaign(
 
     executor = SweepExecutor(
         workers=workers,
-        backend="workqueue",
         queue_dir=queue_dir,
         lease_timeout_s=lease_timeout_s,
         # Injected faults burn lease budget by design; give the queue
         # enough headroom that no chaos victim is poisoned.
-        max_lease_failures=len(tuple(kinds)) + 2,
+        max_retries=len(tuple(kinds)) + 1,
         chaos_plan=plan,
     )
     chaos_runner = CampaignRunner(spec, executor=executor)

@@ -68,38 +68,38 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1 = in-process serial execution)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("inline", "pool", "workqueue"),
-        default=None,
-        help="execution backend: 'inline' (serial in-process oracle), "
-        "'pool' (hardened local process pool), 'workqueue' (shared-"
-        "directory lease queue; see --queue-dir).  Default: pool when "
-        "--workers > 1, inline otherwise.  An unavailable backend "
-        "degrades down the ladder workqueue -> pool -> inline, counted "
-        "in executor stats",
-    )
-    parser.add_argument(
         "--queue-dir",
         metavar="DIR",
         default=None,
-        help="shared directory for the workqueue backend (lease files, "
-        "idempotent results); default: a private temporary directory",
+        help="shared directory of the work queue that runs jobs when "
+        "--workers > 1 (lease files, idempotent results); default: a "
+        "private temporary directory",
     )
     parser.add_argument(
         "--lease-timeout",
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="workqueue lease deadline: a job whose lease goes this stale "
-        "is reclaimed from its (dead or stalled) worker and re-queued",
+        help="work-queue lease deadline: a job whose lease goes this "
+        "stale has its (dead, stalled or hung) worker terminated and is "
+        "re-queued",
     )
     parser.add_argument(
-        "--max-lease-failures",
+        "--job-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="with --workers > 1, stop renewing the lease of any job "
+        "running longer than this, so it is killed and retried after "
+        "--lease-timeout more seconds",
+    )
+    parser.add_argument(
+        "--retries",
         type=int,
-        default=3,
+        default=2,
         metavar="N",
-        help="quarantine a job as poison after N failed leases "
-        "(expiries, worker errors, corrupt results)",
+        help="with --workers > 1, retry a failed, killed or hung job up "
+        "to N times before giving up on it",
     )
     parser.add_argument(
         "--no-cache",
@@ -174,20 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload operations per run",
     )
     campaign.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any campaign job exceeding this wall time",
-    )
-    campaign.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry a failed or hung campaign job up to N times",
-    )
-    campaign.add_argument(
         "--fresh",
         action="store_true",
         help="ignore any existing campaign journal and rerun everything",
@@ -213,14 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resume the campaign journaled in DIR (shorthand for "
         "--campaign-dir DIR that insists the directory already exists)",
-    )
-    campaign.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="declare a worker stalled (and retry its job) when its "
-        "heartbeat file goes this stale; needs checkpointing on",
     )
     campaign.add_argument(
         "--strict",
@@ -272,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="chaos smoke harness: run the campaign twice — serially "
-        "(the oracle) and on the workqueue backend with seeded worker "
+        "(the oracle) and on the work queue with seeded worker "
         "faults (kill/stall/corrupt/duplicate) — and fail unless triage "
         "counts are bit-identical and every result was published "
         "exactly once",
@@ -304,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = parser.add_argument_group(
         "serve options (experiment = 'serve'; also honors --designs, "
         "--seed, --mechanisms, --nested-crash, --with-counter-recovery, "
-        "--workers/--backend and --json)"
+        "--workers and --json)"
     )
     serve.add_argument(
         "--tenants", type=int, default=4, metavar="N",
@@ -384,10 +362,10 @@ def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     return SweepExecutor(
         workers=args.workers,
         cache=cache,
-        backend=args.backend,
+        job_timeout_s=args.job_timeout,
+        max_retries=args.retries,
         queue_dir=args.queue_dir,
         lease_timeout_s=args.lease_timeout,
-        max_lease_failures=args.max_lease_failures,
     )
 
 
@@ -538,16 +516,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         spec.faults = tuple(faults)
     if args.chaos:
         return _run_campaign_chaos(args, spec)
-    executor = SweepExecutor(
-        workers=args.workers,
-        job_timeout_s=args.job_timeout,
-        max_retries=args.retries,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        lease_timeout_s=args.lease_timeout,
-        max_lease_failures=args.max_lease_failures,
-    )
+    executor = _make_executor(args)
     runner = CampaignRunner(
         spec,
         executor=executor,
@@ -564,27 +533,25 @@ def _run_campaign(args: argparse.Namespace) -> int:
     print(report.render())
     stats = executor.stats()
     line = (
-        "executor[%s]: %d job(s) run, %d retried, %d timed out, %d stalled, "
-        "%d pool fallback(s), %d backend fallback(s), %d corrupt cache "
+        "executor[%s]: %d job(s) run, %d retried, %d expired lease(s), "
+        "%d worker respawn(s), %d backend fallback(s), %d corrupt cache "
         "entr(ies) quarantined"
         % (
             stats["backend"],
             stats["jobs_executed"],
             stats["retries"],
-            stats["timeouts"],
-            stats["stalls"],
-            stats["pool_fallbacks"],
+            stats["leases_expired"],
+            stats["worker_respawns"],
             stats["backend_fallbacks"],
             stats["cache_corruption_events"],
         )
     )
     if stats["backend"] == "workqueue":
         line += (
-            "; workqueue: %d claim(s), %d expired lease(s), %d result(s) "
-            "published, %d reused, %d duplicate(s) dropped, %d poison"
+            "; workqueue: %d claim(s), %d result(s) published, %d reused, "
+            "%d duplicate(s) dropped, %d poison"
             % (
                 stats["leases_claimed"],
-                stats["leases_expired"],
                 stats["results_published"],
                 stats["results_reused"],
                 stats["duplicate_results"],
@@ -664,15 +631,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             )
             for design in args.designs.split(",")
         ]
-        executor = SweepExecutor(
-            workers=args.workers,
-            job_timeout_s=args.job_timeout,
-            max_retries=args.retries,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
-            lease_timeout_s=args.lease_timeout,
-            max_lease_failures=args.max_lease_failures,
-        )
+        executor = _make_executor(args)
         runner = ServiceRunner(jobs, executor=executor, journal_dir=args.serve_dir)
         report = runner.run()
     except ReproError as exc:

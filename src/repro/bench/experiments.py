@@ -9,8 +9,8 @@ paper's plotted series.  ``scale`` trades fidelity for wall-clock time:
 
 Each sweep-style experiment decomposes into independent
 :class:`~repro.bench.parallel.SweepJob` design points and hands them to
-a :class:`~repro.bench.parallel.SweepExecutor`, which may run them in a
-process pool (``--workers N``) and/or serve them from the on-disk
+a :class:`~repro.bench.parallel.SweepExecutor`, which may run them on
+the lease work queue (``--workers N``) and/or serve them from the on-disk
 result cache.  ``executor=None`` means serial, uncached, in-process —
 bit-identical to the pre-engine behaviour.  Experiments that inspect
 live simulation state (Table 1's crash sweeps) always run in-process.

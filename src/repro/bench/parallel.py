@@ -5,9 +5,9 @@ points, and each point is an independent, deterministic simulation.
 This module decomposes such sweeps into :class:`SweepJob` descriptions
 and executes them through a :class:`SweepExecutor`, which
 
-* fans jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  when ``workers > 1`` (falling back to in-process execution when the
-  pool cannot be created or breaks),
+* runs jobs inline (serial, in-process: the oracle) with one worker
+  and fans them out over the lease work queue
+  (:mod:`repro.bench.workqueue`) when ``workers > 1``,
 * preserves deterministic result ordering — ``map_stats`` returns one
   :class:`~repro.sim.stats.MachineStats` per job, in job order, with
   values identical to a serial run, and
@@ -29,24 +29,22 @@ import hashlib
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig, fast_config
-from ..errors import JobExecutionError
 from ..sim.stats import CoreStats, MachineStats
 from ..utils.versioning import code_version
 from ..workloads.base import WorkloadParams
 
 __all__ = [
+    "ExecutorCounters",
     "SweepJob",
     "SweepExecutor",
     "ResultCache",
     "execute_job",
     "job_cache_key",
     "default_cache_dir",
-    "code_version",
     "stats_to_dict",
     "stats_from_dict",
 ]
@@ -120,11 +118,6 @@ def _canonical(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value
-
-
-# Re-exported for backwards compatibility; the implementation moved to
-# repro.utils.versioning so the crash/sim layers can fingerprint code
-# without depending on the bench layer.
 
 
 def job_cache_key(job: SweepJob) -> str:
@@ -244,35 +237,53 @@ class ResultCache:
 ResultCallback = Callable[[int, object], None]
 
 
+@dataclass
+class ExecutorCounters:
+    """Everything the executor absorbed, counted rather than hidden.
+
+    ``retries`` counts worker-side job errors and ``backend_fallbacks``
+    the batches that ran inline because the work queue could not
+    start; the rest account for the work queue's lease protocol.
+    """
+
+    retries: int = 0
+    backend_fallbacks: int = 0
+    leases_claimed: int = 0
+    leases_expired: int = 0
+    leases_reclaimed: int = 0
+    results_published: int = 0
+    results_reused: int = 0
+    duplicate_results: int = 0
+    corrupt_results: int = 0
+    poison_jobs: int = 0
+    worker_respawns: int = 0
+    jobs_lost: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return dataclasses.asdict(self)
+
+
 class SweepExecutor:
-    """Runs sweep jobs through a pluggable execution backend.
+    """Runs sweep jobs inline or through the lease work queue.
 
     ``SweepExecutor()`` (the default used by ``Experiment.run``) is a
-    plain in-process serial runner with no cache, preserving the exact
-    behaviour experiments had before this engine existed.
+    plain in-process serial runner with no cache: the deterministic
+    oracle every parallel run is measured against.
 
-    ``backend`` picks the execution engine (see
-    :mod:`repro.bench.backends`):
+    With ``workers > 1`` each batch runs on the
+    :mod:`~repro.bench.workqueue`: forked workers claim jobs through a
+    shared directory (``queue_dir``; default a private temporary one)
+    under leases of ``lease_timeout_s``.  A job that overruns
+    ``job_timeout_s`` lets its lease expire, its worker is terminated
+    and replaced, and the job is re-run; a job that fails
+    ``max_retries + 1`` leases is poisoned — a hung one raises
+    :class:`~repro.errors.JobExecutionError`, an erroring one gets one
+    last in-process attempt.  ``chaos_plan`` injects seeded worker
+    faults (:mod:`repro.bench.chaos`).
 
-    * ``None`` (default) — ``pool`` when ``workers > 1``, ``inline``
-      otherwise: the historical behaviour.
-    * ``"inline"`` — serial in-process execution, the deterministic
-      oracle.
-    * ``"pool"`` — the hardened local ``multiprocessing.Pool``
-      (per-job timeouts reclaiming hung workers, bounded retries with
-      backoff, heartbeat stall watchdog, in-process last-chance
-      attempt).
-    * ``"workqueue"`` — a shared-directory lease queue (``queue_dir``)
-      with atomic claim-via-rename, heartbeat lease renewal,
-      lease-expiry reclamation, idempotent result publication keyed by
-      the job cache key, and poison-job quarantine after
-      ``max_lease_failures`` failed leases.
-
-    A backend that cannot run on this host degrades down the fallback
-    ladder (``workqueue -> pool -> inline``); every hop is counted in
-    ``stats()['backend_fallbacks']``, never silent.  Backoff sleeps
-    only *between* retry rounds — never after the final attempt — and
-    the total slept is reported as ``stats()['backoff_slept_s']``.
+    When the work queue cannot start here (no ``fork``, unwritable
+    queue directory) the batch runs inline instead; every such hop is
+    counted in ``stats()['backend_fallbacks']``, never silent.
     """
 
     def __init__(
@@ -281,55 +292,22 @@ class SweepExecutor:
         cache: Optional[ResultCache] = None,
         job_timeout_s: Optional[float] = None,
         max_retries: int = 2,
-        retry_backoff_s: float = 0.1,
-        heartbeat_timeout_s: Optional[float] = None,
-        backend: Optional[str] = None,
         queue_dir: Optional[str] = None,
         lease_timeout_s: float = 30.0,
-        max_lease_failures: int = 3,
         chaos_plan: Optional[object] = None,
     ) -> None:
-        from .backends import BACKENDS, ExecutorCounters
-
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                "unknown execution backend %r; available: %s"
-                % (backend, ", ".join(sorted(BACKENDS)))
-            )
         self.workers = max(1, int(workers))
         self.cache = cache
         self.job_timeout_s = job_timeout_s
         self.max_retries = max(0, int(max_retries))
-        self.retry_backoff_s = max(0.0, float(retry_backoff_s))
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.backend = backend
         self.queue_dir = queue_dir
         self.lease_timeout_s = lease_timeout_s
-        self.max_lease_failures = max(1, int(max_lease_failures))
         self.chaos_plan = chaos_plan
         self.counters = ExecutorCounters()
         self.resolved_backend: Optional[str] = None
         self.cache_hits = 0
         self.cache_misses = 0
         self.jobs_executed = 0
-
-    # -- legacy counter aliases (kept: tests and reports read them) --------
-
-    @property
-    def pool_fallbacks(self) -> int:
-        return self.counters.pool_fallbacks
-
-    @property
-    def timeouts(self) -> int:
-        return self.counters.timeouts
-
-    @property
-    def stalls(self) -> int:
-        return self.counters.stalls
-
-    @property
-    def retries(self) -> int:
-        return self.counters.retries
 
     # -- stats -------------------------------------------------------------
 
@@ -341,8 +319,7 @@ class SweepExecutor:
         """Executor health counters, for reports and the CLI."""
         document: Dict[str, object] = {
             "backend": self.resolved_backend
-            or self.backend
-            or ("pool" if self.workers > 1 else "inline"),
+            or ("workqueue" if self.workers > 1 else "inline"),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_corruption_events": self.cache_corruption_events,
@@ -356,12 +333,15 @@ class SweepExecutor:
     def map_stats(self, jobs: Sequence[SweepJob]) -> List[MachineStats]:
         """Execute all jobs; result ``i`` belongs to ``jobs[i]``."""
         results: List[Optional[MachineStats]] = [None] * len(jobs)
-        pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(jobs)
+        pending = list(range(len(jobs)))
+        keys: List[str] = []
+        if self.cache is not None or self.workers > 1:
+            # Content keys also name work-queue publications, so a reused
+            # queue directory never serves another code version's results.
+            keys = [job_cache_key(job) for job in jobs]
         if self.cache is not None:
-            for index, job in enumerate(jobs):
-                key = job_cache_key(job)
-                keys[index] = key
+            pending = []
+            for index, key in enumerate(keys):
                 cached = self.cache.get(key)
                 if cached is not None:
                     self.cache_hits += 1
@@ -369,97 +349,58 @@ class SweepExecutor:
                 else:
                     self.cache_misses += 1
                     pending.append(index)
-        else:
-            pending = list(range(len(jobs)))
         if pending:
-            job_ids: Optional[List[str]] = None
-            if self.cache is not None:
-                job_ids = [keys[i] for i in pending]  # type: ignore[misc]
-            elif self._resolve_backend_name() == "workqueue":
-                job_ids = [job_cache_key(jobs[i]) for i in pending]
             fresh = self.map(
-                execute_job, [jobs[i] for i in pending], job_ids=job_ids
+                execute_job,
+                [jobs[i] for i in pending],
+                job_ids=[keys[i] for i in pending] if keys else None,
             )
             for index, stats in zip(pending, fresh):
                 results[index] = stats
-                key = keys[index]
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, stats)
+                if self.cache is not None:
+                    self.cache.put(keys[index], stats)
         return results  # type: ignore[return-value]
-
-    def _resolve_backend_name(self, item_count: int = 2) -> str:
-        if self.backend is not None:
-            return self.backend
-        if self.workers == 1 or item_count <= 1:
-            return "inline"
-        return "pool"
-
-    def _backend_spec(self):
-        from .backends import BackendSpec
-
-        return BackendSpec(
-            workers=self.workers,
-            job_timeout_s=self.job_timeout_s,
-            max_retries=self.max_retries,
-            retry_backoff_s=self.retry_backoff_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            queue_dir=self.queue_dir,
-            lease_timeout_s=self.lease_timeout_s,
-            max_lease_failures=self.max_lease_failures,
-            chaos_plan=self.chaos_plan,
-            counters=self.counters,
-        )
 
     def map(
         self,
         fn: Callable,
         items: Sequence[object],
         on_result: Optional[ResultCallback] = None,
-        heartbeats: Optional[Sequence[Optional[str]]] = None,
         job_ids: Optional[Sequence[str]] = None,
     ) -> List[object]:
-        """Hardened ordered map: ``results[i] = fn(items[i])``.
+        """Ordered map: ``results[i] = fn(items[i])``.
 
-        ``fn`` must be a module-level callable and every item picklable
-        when execution leaves this process.  ``on_result`` fires as
-        each result lands, which lets callers journal progress for
-        resumability.  ``heartbeats`` (optional, one path or None per
-        item) names the heartbeat file each job updates while it runs;
-        the pool watchdog only engages when ``heartbeat_timeout_s`` is
-        set.  ``job_ids`` (optional, one stable key per item) keys the
-        workqueue backend's idempotent result publication; other
-        backends ignore it.
+        With ``workers > 1``, ``fn`` must be a module-level callable and
+        every item and result picklable.  ``on_result`` fires as each
+        result lands, which lets callers journal progress for
+        resumability.  ``job_ids`` (optional, one stable key per item)
+        names the work queue's idempotent result publications; inline
+        runs ignore it.
         """
-        from .backends import make_backend
-
         items = list(items)
         results: List[object] = [None] * len(items)
         self.jobs_executed += len(items)
-        if heartbeats is not None and len(heartbeats) != len(items):
-            raise ValueError("heartbeats must align one-to-one with items")
         if job_ids is not None and len(job_ids) != len(items):
             raise ValueError("job_ids must align one-to-one with items")
-        requested = self._resolve_backend_name(len(items))
-        if requested == "inline":
-            # The serial fast path: no backend object, no indirection —
-            # bit-identical to the pre-backend executor.
+        queue = None
+        if self.workers > 1 and items:
+            from .workqueue import WorkQueue, WorkQueueUnavailable
+
+            try:
+                queue = WorkQueue(self)
+            except WorkQueueUnavailable as exc:
+                self.counters.backend_fallbacks += 1
+                logger.warning("work queue unavailable (%s); running inline", exc)
+        if queue is None:
             self.resolved_backend = "inline"
             for index, item in enumerate(items):
                 results[index] = fn(item)
                 if on_result is not None:
                     on_result(index, results[index])
             return results
-        backend = make_backend(requested, self._backend_spec())
-        self.resolved_backend = backend.name
+        self.resolved_backend = "workqueue"
         try:
-            backend.run(
-                fn,
-                items,
-                results,
-                on_result=on_result,
-                heartbeats=heartbeats,
-                job_ids=job_ids,
-            )
+            queue.run(fn, items, results, on_result=on_result, job_ids=job_ids)
         finally:
-            backend.close()
+            queue.close()
         return results

@@ -409,7 +409,7 @@ def bench_sweep(
         "identical_values": identical,
         "note": (
             "parallel_speedup is bounded by cpu_count: on a single-CPU "
-            "host the pool cannot beat serial, while the warm result "
+            "host the work queue cannot beat serial, while the warm result "
             "cache makes repeated sweeps effectively free on any host"
         ),
     }

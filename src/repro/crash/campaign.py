@@ -105,10 +105,9 @@ class CampaignJob:
     nested_steps: int = 2
     #: Execution-only plumbing, deliberately NOT part of ``document()``
     #: (and therefore not of the job key): where this job checkpoints
-    #: its simulation, how often, and where it beats its heartbeat.
+    #: its simulation, and how often.
     checkpoint_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
-    heartbeat_path: Optional[str] = None
 
     def document(self) -> Dict[str, object]:
         return {
@@ -189,11 +188,9 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
 
     The simulation phase checkpoints to ``job.checkpoint_dir`` (when
     set) and resumes from the newest valid snapshot there, so a worker
-    killed mid-simulation loses at most one checkpoint interval.  The
-    heartbeat (when set) is beaten per simulated event and per triaged
-    crash point, feeding the executor's stall watchdog.
+    killed mid-simulation loses at most one checkpoint interval.
     """
-    from ..bench.resilience import Heartbeat, run_workload_resilient
+    from ..bench.resilience import run_workload_resilient
     from ..config import fast_config
     from ..faults.recovery import RecoveryFaultPlan, nested_point_grid
     from ..workloads.base import WorkloadParams
@@ -204,7 +201,6 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
         seed=job.seed,
         footprint_bytes=job.footprint_bytes,
     )
-    heartbeat = Heartbeat(job.heartbeat_path) if job.heartbeat_path else None
     outcome, resilience = run_workload_resilient(
         job.design,
         job.workload,
@@ -213,7 +209,6 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
         params=params,
         checkpoint_dir=job.checkpoint_dir,
         every_events=job.checkpoint_every,
-        heartbeat=heartbeat,
     )
     config = outcome.result.config
     injector = CrashInjector(outcome.result)
@@ -254,8 +249,6 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
     nested_injected = 0
     cells = 0
     for crash_ns in times:
-        if heartbeat is not None:
-            heartbeat.beat()
         for schedule in schedules:
             image, events = injector.crash_with_faults(
                 crash_ns, [model], seed=job.seed
@@ -304,8 +297,6 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
                     # message and a short stack digest for grouping.
                     example["error"] = session_error
                 examples.append(example)
-    if heartbeat is not None:
-        heartbeat.clear()
     document: Dict[str, object] = {
         "key": job_key(job),
         "job": job.document(),
@@ -822,7 +813,7 @@ class CampaignRunner:
     # -- execution --------------------------------------------------------
 
     def _prepare_job(self, job: CampaignJob, key: str) -> CampaignJob:
-        """Attach per-job checkpoint/heartbeat plumbing (key-neutral)."""
+        """Attach per-job checkpoint plumbing (key-neutral)."""
         if self.checkpoint_dir is None:
             return job
         job_dir = os.path.join(self.checkpoint_dir, key)
@@ -830,7 +821,6 @@ class CampaignRunner:
             job,
             checkpoint_dir=job_dir,
             checkpoint_every=self.checkpoint_every,
-            heartbeat_path=os.path.join(job_dir, "heartbeat.json"),
         )
 
     def _cleanup_job_state(self, key: str) -> None:
@@ -881,8 +871,7 @@ class CampaignRunner:
                 run_campaign_job,
                 prepared,
                 on_result=_journal_and_cleanup,
-                heartbeats=[job.heartbeat_path for job in prepared],
-                # The job key doubles as the workqueue backend's
+                # The job key doubles as the work queue's
                 # idempotent-publication key, giving distributed runs
                 # the same exactly-once resume the journal gives local
                 # ones.

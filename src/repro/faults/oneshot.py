@@ -11,7 +11,7 @@ discipline behind both delivery mechanisms:
   share one interpreter.
 * :func:`latch_once` — cross-process latching via an ``O_EXCL`` marker
   file, used by the workqueue chaos workers
-  (:mod:`repro.bench.backends.workqueue`), where racing claimants must
+  (:mod:`repro.bench.workqueue`), where racing claimants must
   agree on who fires the fault.
 """
 

@@ -17,10 +17,10 @@ One :class:`ServiceJob` runs the full story for one design point:
    (:mod:`repro.service.slo`).
 
 :class:`ServiceRunner` sweeps jobs across designs with the shared
-execution backends (inline / pool / workqueue) and the same
-journal/resume discipline campaigns use — a killed ``repro-bench
-serve`` pointed at the same ``--serve-dir`` resumes instead of
-re-running finished designs.
+executor (inline, or the lease work queue with ``--workers``) and
+the same journal/resume discipline campaigns use — a killed
+``repro-bench serve`` pointed at the same ``--serve-dir`` resumes
+instead of re-running finished designs.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ import pickle
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
 from .machine import Machine, SimulationResult
@@ -294,16 +294,13 @@ def run_with_checkpoints(
     store: Optional[SnapshotStore] = None,
     policy: Optional[CheckpointPolicy] = None,
     resume: bool = True,
-    on_event: Optional[Callable[[int], None]] = None,
 ) -> Tuple[SimulationResult, Dict[str, int]]:
     """Run ``machine`` over ``traces`` with periodic durable checkpoints.
 
     With ``resume`` and an existing valid snapshot in ``store``, the
     machine restores and continues from the checkpointed event instead
     of starting over — the produced :class:`SimulationResult` is
-    bit-identical either way.  ``on_event`` (if given) is called with
-    the running event count after every simulated event; the resilience
-    layer hooks worker heartbeats through it.
+    bit-identical either way.
 
     Returns ``(result, stats)`` with ``stats`` covering saves,
     restores, quarantines and invalidations.
@@ -327,29 +324,24 @@ def run_with_checkpoints(
         else None
     )
     last_save_wall = time.monotonic()
-    fast = on_event is None
     more = True
     while more:
-        if fast:
-            # Crash-free fast-forward: nothing observes individual
-            # events, so drain them in chunks through the machine's
-            # inlined loop.  A chunk lands on exactly the same event
-            # boundary as that many step() calls, so checkpoints (and
-            # the result) stay bit-identical to the per-event path.
-            if store is None or not policy.enabled:
-                machine.fast_forward()
-                more = False
-            elif next_event_mark is not None:
-                more = machine.run_events(
-                    max(1, next_event_mark - machine.events_executed)
-                )
-            else:
-                # Wall-clock-only policy: bounded chunks keep the
-                # every_seconds check responsive.
-                more = machine.run_events(1024)
+        # Crash-free fast-forward: nothing observes individual events,
+        # so drain them in chunks through the machine's inlined loop.
+        # A chunk lands on exactly the same event boundary as that many
+        # step() calls, so checkpoints (and the result) stay
+        # bit-identical to a per-event run.
+        if store is None or not policy.enabled:
+            machine.fast_forward()
+            more = False
+        elif next_event_mark is not None:
+            more = machine.run_events(
+                max(1, next_event_mark - machine.events_executed)
+            )
         else:
-            more = machine.step()
-            on_event(machine.events_executed)
+            # Wall-clock-only policy: bounded chunks keep the
+            # every_seconds check responsive.
+            more = machine.run_events(1024)
         if store is None or not policy.enabled or not more:
             continue
         due = False

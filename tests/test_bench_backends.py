@@ -1,23 +1,10 @@
-"""Pluggable execution backends: ladder, lease protocol, backoff."""
+"""The executor's two paths: inline oracle, lease work queue, fallback."""
 
 import os
-import time
 
 import pytest
 
-from repro.bench.backends import (
-    BACKENDS,
-    BackendSpec,
-    BackendUnavailable,
-    ExecutorCounters,
-    FALLBACK_LADDER,
-    InlineBackend,
-    PoolBackend,
-    WorkQueueBackend,
-    make_backend,
-)
 from repro.bench.parallel import SweepExecutor
-from repro.errors import JobExecutionError
 
 
 # Worker functions must be module-level so child processes can resolve
@@ -32,201 +19,107 @@ def fail_always(item):
     raise ValueError("permanent failure on %s" % item)
 
 
-def fail_unless_sentinel(item):
-    if item.startswith("fail:"):
-        sentinel = item[len("fail:"):]
-        if not os.path.exists(sentinel):
-            with open(sentinel, "w", encoding="utf-8") as stream:
-                stream.write("first attempt\n")
-            raise ValueError("transient worker failure")
-    return "done:%s" % item
-
-
-def _spec(**overrides):
-    spec = BackendSpec(workers=2, retry_backoff_s=0.0)
-    for name, value in overrides.items():
-        setattr(spec, name, value)
-    return spec
-
-
-def _run(backend, fn, items, **kwargs):
-    results = [None] * len(items)
-    try:
-        backend.run(fn, list(items), results, **kwargs)
-    finally:
-        backend.close()
-    return results
+def _queue(tmp_path, **overrides):
+    options = dict(workers=2, queue_dir=str(tmp_path / "q"), lease_timeout_s=5.0)
+    options.update(overrides)
+    return SweepExecutor(**options)
 
 
 class TestRegistryAndLadder:
-    def test_registry_names(self):
-        assert set(BACKENDS) == {"inline", "pool", "workqueue"}
-        assert FALLBACK_LADDER == {
-            "workqueue": "pool",
-            "pool": "inline",
-            "inline": None,
-        }
-
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            make_backend("carrier-pigeon", _spec())
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            SweepExecutor(workers=2, backend="carrier-pigeon")
-
-    def test_unwritable_queue_dir_falls_back_to_pool(self, tmp_path):
-        # A file where the queue directory should be makes the
-        # workqueue rung unconstructible.
-        bogus = tmp_path / "not-a-dir"
-        bogus.write_text("occupied")
-        spec = _spec(queue_dir=str(bogus))
-        backend = make_backend("workqueue", spec)
-        try:
-            assert backend.name == "pool"
-            assert spec.counters.backend_fallbacks == 1
-        finally:
-            backend.close()
+        # The path follows from ``workers``; a stale backend option is
+        # rejected, never silently ignored.
+        with pytest.raises(TypeError, match="backend"):
+            SweepExecutor(workers=2, backend="workqueue")
+        with pytest.raises(TypeError, match="max_lease_failures"):
+            SweepExecutor(workers=2, max_lease_failures=3)
 
     def test_fallback_counts_every_hop(self, tmp_path, monkeypatch):
-        from repro.bench import backends as backends_module
-
-        def refuse(spec):
-            raise BackendUnavailable("pool refused for the test")
-
-        monkeypatch.setitem(backends_module.BACKENDS, "pool", refuse)
+        # A file where the queue directory should be makes the work
+        # queue unconstructible: the batch runs inline, one counted hop.
         bogus = tmp_path / "not-a-dir"
         bogus.write_text("occupied")
-        spec = _spec(queue_dir=str(bogus))
-        backend = make_backend("workqueue", spec)
-        try:
-            assert backend.name == "inline"
-            assert spec.counters.backend_fallbacks == 2
-        finally:
-            backend.close()
+        executor = SweepExecutor(workers=2, queue_dir=str(bogus))
+        assert executor.map(double, [1, 2, 3]) == [2, 4, 6]
+        assert executor.stats()["backend"] == "inline"
+        assert executor.stats()["backend_fallbacks"] == 1
+        # No fork start method: same single hop, counted again.
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert executor.map(double, [4]) == [8]
+        assert executor.stats()["backend_fallbacks"] == 2
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("name", ["inline", "pool", "workqueue"])
+    @pytest.mark.parametrize("name", ["inline", "workqueue"])
     def test_same_results_every_backend(self, name):
-        spec = _spec()
-        backend = make_backend(name, spec)
+        executor = SweepExecutor(workers=1 if name == "inline" else 2)
         seen = []
-        results = _run(
-            backend,
+        results = executor.map(
             double,
             [1, 2, 3, 4, 5],
             on_result=lambda index, value: seen.append((index, value)),
         )
         assert results == [2, 4, 6, 8, 10]
         assert sorted(seen) == [(0, 2), (1, 4), (2, 6), (3, 8), (4, 10)]
+        assert executor.stats()["backend"] == name
 
     def test_inline_is_serial_and_ordered(self):
-        backend = InlineBackend(_spec(workers=1))
         order = []
-        _run(backend, double, [3, 1, 2], on_result=lambda i, v: order.append(i))
+        SweepExecutor().map(double, [3, 1, 2], on_result=lambda i, v: order.append(i))
         assert order == [0, 1, 2]
-
-
-class TestPoolBackoff:
-    def test_no_sleep_after_final_retry_round(self, caplog):
-        # fail_always exhausts max_retries + 1 attempts; backoff must be
-        # slept only *between* rounds (2 sleeps for max_retries=2),
-        # never after the last attempt, and the total is exposed.
-        spec = _spec(max_retries=2, retry_backoff_s=0.05)
-        backend = PoolBackend(spec)
-        with pytest.raises(ValueError, match="permanent failure"):
-            _run(backend, fail_always, ["x"])
-        expected = 0.05 * (2 ** 0) + 0.05 * (2 ** 1)
-        assert spec.counters.backoff_slept_s == pytest.approx(expected)
-        assert spec.counters.retries == 2
-        assert spec.counters.pool_fallbacks == 1
-
-    def test_no_backoff_when_first_attempt_succeeds(self):
-        spec = _spec(max_retries=2, retry_backoff_s=5.0)
-        backend = PoolBackend(spec)
-        start = time.monotonic()
-        assert _run(backend, double, [7]) == [14]
-        assert time.monotonic() - start < 4.0
-        assert spec.counters.backoff_slept_s == 0.0
-
-    def test_transient_failure_retries_then_succeeds(self, tmp_path):
-        sentinel = tmp_path / "sentinel"
-        spec = _spec(max_retries=2, retry_backoff_s=0.01)
-        backend = PoolBackend(spec)
-        results = _run(backend, fail_unless_sentinel, ["fail:%s" % sentinel])
-        assert results == ["done:fail:%s" % sentinel]
-        assert spec.counters.retries == 1
-        assert spec.counters.backoff_slept_s == pytest.approx(0.01)
 
 
 class TestWorkQueueProtocol:
     def test_exactly_once_publication(self, tmp_path):
-        spec = _spec(queue_dir=str(tmp_path / "q"), lease_timeout_s=5.0)
-        backend = WorkQueueBackend(spec)
-        results = _run(backend, double, [10, 11, 12])
-        assert results == [20, 22, 24]
-        assert spec.counters.results_published == 3
-        assert spec.counters.results_reused == 0
-        assert spec.counters.jobs_lost == 0
+        executor = _queue(tmp_path)
+        assert executor.map(double, [10, 11, 12]) == [20, 22, 24]
+        assert executor.counters.results_published == 3
+        assert executor.counters.results_reused == 0
+        assert executor.counters.jobs_lost == 0
 
     def test_idempotent_reuse_across_runs(self, tmp_path):
-        queue_dir = str(tmp_path / "q")
-        first = _spec(queue_dir=queue_dir, lease_timeout_s=5.0)
-        _run(WorkQueueBackend(first), double, [10, 11, 12])
-        second = _spec(queue_dir=queue_dir, lease_timeout_s=5.0)
-        results = _run(WorkQueueBackend(second), double, [10, 11, 12])
-        assert results == [20, 22, 24]
+        _queue(tmp_path).map(double, [10, 11, 12])
+        second = _queue(tmp_path)
+        assert second.map(double, [10, 11, 12]) == [20, 22, 24]
         assert second.counters.results_published == 0
         assert second.counters.results_reused == 3
 
     def test_duplicate_items_share_one_job(self, tmp_path):
-        spec = _spec(queue_dir=str(tmp_path / "q"), lease_timeout_s=5.0)
-        results = _run(WorkQueueBackend(spec), double, [9, 9, 9])
-        assert results == [18, 18, 18]
-        assert spec.counters.results_published == 1
+        executor = _queue(tmp_path)
+        assert executor.map(double, [9, 9, 9]) == [18, 18, 18]
+        assert executor.counters.results_published == 1
 
     def test_killed_worker_lease_expires_and_job_reruns(self, tmp_path):
-        spec = _spec(
-            queue_dir=str(tmp_path / "q"),
-            lease_timeout_s=0.5,
-            chaos_plan={0: ("kill",)},
-        )
-        results = _run(WorkQueueBackend(spec), double, [5, 6])
-        assert results == [10, 12]
-        assert spec.counters.leases_expired >= 1
-        assert spec.counters.leases_reclaimed >= 1
-        assert spec.counters.worker_respawns >= 1
-        assert spec.counters.jobs_lost == 0
+        executor = _queue(tmp_path, lease_timeout_s=0.5, chaos_plan={0: ("kill",)})
+        assert executor.map(double, [5, 6]) == [10, 12]
+        assert executor.counters.leases_expired >= 1
+        assert executor.counters.leases_reclaimed >= 1
+        assert executor.counters.worker_respawns >= 1
+        assert executor.counters.jobs_lost == 0
 
     def test_corrupt_result_is_quarantined_and_rerun(self, tmp_path):
-        queue_dir = tmp_path / "q"
-        spec = _spec(
-            queue_dir=str(queue_dir),
-            lease_timeout_s=0.5,
-            chaos_plan={0: ("corrupt",)},
-        )
-        results = _run(WorkQueueBackend(spec), double, [5, 6])
-        assert results == [10, 12]
-        assert spec.counters.corrupt_results == 1
-        assert list((queue_dir / "quarantine").iterdir())
+        executor = _queue(tmp_path, lease_timeout_s=0.5, chaos_plan={0: ("corrupt",)})
+        assert executor.map(double, [5, 6]) == [10, 12]
+        assert executor.counters.corrupt_results == 1
+        assert list((tmp_path / "q" / "quarantine").iterdir())
 
     def test_duplicate_claim_fault_keeps_exactly_once(self, tmp_path):
         # The worker publishes, then hands the job back as if never
         # run.  Whether or not a second claimant gets to it before
         # shutdown, the result must land exactly once.
-        spec = _spec(
-            queue_dir=str(tmp_path / "q"),
-            lease_timeout_s=0.5,
-            chaos_plan={1: ("duplicate",)},
+        executor = _queue(
+            tmp_path, lease_timeout_s=0.5, chaos_plan={1: ("duplicate",)}
         )
-        results = _run(WorkQueueBackend(spec), double, [5, 6])
-        assert results == [10, 12]
-        assert spec.counters.results_published == 2
-        assert spec.counters.jobs_lost == 0
+        assert executor.map(double, [5, 6]) == [10, 12]
+        assert executor.counters.results_published == 2
+        assert executor.counters.jobs_lost == 0
 
     def test_second_publication_is_dropped(self, tmp_path):
         # The primitive behind the duplicate defence: publication is
         # hardlink-if-absent, so a second publish never overwrites.
-        from repro.bench.backends.workqueue import _frame, _publish, _read_frame
+        from repro.bench.workqueue import _frame, _publish, _read_frame
 
         queue_dir = tmp_path / "q"
         for sub in ("results", "events"):
@@ -242,23 +135,20 @@ class TestWorkQueueProtocol:
         assert len(dup_events) == 1
 
     def test_poison_job_quarantined_then_finished_inline(self, tmp_path):
-        spec = _spec(
-            queue_dir=str(tmp_path / "q"),
-            lease_timeout_s=5.0,
-            max_lease_failures=2,
-        )
         # fail_always burns every lease with worker-side errors; after
-        # max_lease_failures the job is poisoned and the last-chance
+        # max_retries + 1 leases the job is poisoned and the last-chance
         # inline attempt reproduces the real exception.
-        backend = WorkQueueBackend(spec)
+        executor = _queue(tmp_path, max_retries=1)
         with pytest.raises(ValueError, match="permanent failure"):
-            _run(backend, fail_always, ["x"])
-        assert spec.counters.poison_jobs == 1
+            executor.map(fail_always, ["x"])
+        assert executor.counters.poison_jobs == 1
+        assert any(
+            name.endswith(".poison")
+            for name in os.listdir(tmp_path / "q" / "quarantine")
+        )
 
     def test_executor_reports_workqueue_stats(self, tmp_path):
-        executor = SweepExecutor(
-            workers=2, backend="workqueue", queue_dir=str(tmp_path / "q")
-        )
+        executor = _queue(tmp_path)
         assert executor.map(double, [1, 2, 3]) == [2, 4, 6]
         stats = executor.stats()
         assert stats["backend"] == "workqueue"

@@ -61,10 +61,9 @@ class TestExactlyOnceProperty:
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as queue_dir:
             executor = SweepExecutor(
                 workers=2,
-                backend="workqueue",
                 queue_dir=queue_dir,
                 lease_timeout_s=0.5,
-                max_lease_failures=len(kinds) + 2,
+                max_retries=len(kinds) + 1,
                 chaos_plan=plan,
             )
             results = executor.map(triple, items)

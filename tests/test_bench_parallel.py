@@ -144,3 +144,42 @@ class TestCliWiring:
         )
         assert code == 0
         assert json_path.exists()
+
+    def test_sweep_flags_reach_the_executor(self, monkeypatch, capsys):
+        # Figure sweeps, campaigns and serve share one executor factory,
+        # so --job-timeout/--retries reach a sweep's work queue too.
+        from repro.bench import cli
+
+        built = []
+
+        class _Result:
+            claims = {}
+
+            def render(self):
+                return "probe"
+
+            def as_dict(self):
+                return {}
+
+        class _Probe:
+            def run(self, scale, executor):
+                built.append(executor)
+                return _Result()
+
+        monkeypatch.setattr(cli, "get_experiment", lambda name: _Probe())
+        argv = ["fig12", "--workers", "2", "--job-timeout", "5", "--retries", "0"]
+        assert cli.main(argv + ["--no-cache"]) == 0
+        (executor,) = built
+        assert executor.workers == 2
+        assert executor.job_timeout_s == 5.0
+        assert executor.max_retries == 0
+
+    @pytest.mark.parametrize(
+        "flag", ["--backend", "--heartbeat-timeout", "--max-lease-failures"]
+    )
+    def test_removed_executor_flags_are_rejected(self, flag, capsys):
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig12", flag, "1"])
+        assert excinfo.value.code == 2

@@ -1,4 +1,4 @@
-"""Hardened sweep execution: timeouts, retries, fallback, quarantine."""
+"""Hardened sweep execution: timeouts, retries, last-chance runs, quarantine."""
 
 import logging
 import os
@@ -14,7 +14,7 @@ from repro.workloads.base import WorkloadParams
 PARAMS = WorkloadParams(operations=8, footprint_bytes=8 * 1024)
 
 
-# Worker functions must be module-level so the pool can resolve them.
+# Worker functions must be module-level so forked workers can resolve them.
 
 
 def well_behaved(item):
@@ -55,42 +55,64 @@ def fail_always(item):
     raise ValueError("permanent failure on %s" % item)
 
 
+def _queue_executor(**overrides):
+    """A 2-worker executor (the work queue) with leases short enough
+    that every expiry path runs in well under a second."""
+    options = dict(workers=2, lease_timeout_s=0.2, max_retries=2)
+    options.update(overrides)
+    return SweepExecutor(**options)
+
+
 class TestTimeoutsAndRetries:
     def test_hung_worker_is_timed_out_and_retried(self, tmp_path):
-        executor = SweepExecutor(
-            workers=2, job_timeout_s=1.0, max_retries=2, retry_backoff_s=0.01
-        )
+        executor = _queue_executor(job_timeout_s=0.5)
         items = ["hang:%s" % (tmp_path / "sentinel"), "plain"]
         results = executor.map(hang_unless_sentinel, items)
         assert results == ["done:%s" % items[0], "done:plain"]
-        assert executor.timeouts >= 1
-        assert executor.retries >= 1
-        assert executor.stats()["timeouts"] == executor.timeouts
+        stats = executor.stats()
+        assert stats["backend"] == "workqueue"
+        assert stats["leases_expired"] >= 1
+        assert stats["worker_respawns"] >= 1
+        assert stats["poison_jobs"] == 0
 
     def test_permanently_hung_job_raises_after_retries(self):
-        executor = SweepExecutor(
-            workers=2, job_timeout_s=0.3, max_retries=1, retry_backoff_s=0.01
-        )
+        executor = _queue_executor(job_timeout_s=0.3, max_retries=1)
+        with pytest.raises(JobExecutionError, match="presumed hung"):
+            executor.map(hang_always, ["a", "b"])
+        # Two leases per job (max_retries + 1), every one expired.
+        assert executor.stats()["leases_expired"] == 4
+
+    def test_hung_batch_workers_are_killed_and_respawned(self):
+        # Without kill-on-expiry a hung job keeps its worker forever and
+        # the batch only ends at a global deadline (30 s or more).
+        executor = _queue_executor(job_timeout_s=0.3, max_retries=2)
+        started = time.monotonic()
         with pytest.raises(JobExecutionError):
             executor.map(hang_always, ["a", "b"])
-        assert executor.timeouts >= 2
+        assert time.monotonic() - started < 10.0
+        stats = executor.stats()
+        assert stats["worker_respawns"] >= 1
+        assert stats["poison_jobs"] == 2
 
     def test_transient_failure_is_retried(self, tmp_path):
-        executor = SweepExecutor(workers=2, max_retries=2, retry_backoff_s=0.01)
+        executor = _queue_executor()
         items = ["fail:%s" % (tmp_path / "sentinel"), "plain"]
         results = executor.map(fail_unless_sentinel, items)
         assert results == ["done:%s" % items[0], "done:plain"]
-        assert executor.retries >= 1
+        assert executor.stats()["retries"] == 1
 
     def test_persistent_failure_falls_back_in_process_then_raises(self):
-        executor = SweepExecutor(workers=2, max_retries=1, retry_backoff_s=0.01)
+        executor = _queue_executor(max_retries=1)
         with pytest.raises(ValueError, match="permanent failure"):
             executor.map(fail_always, ["a", "b"])
-        # The final attempt ran in-process, not in a broken pool.
-        assert executor.pool_fallbacks >= 1
+        stats = executor.stats()
+        # Both jobs burned their two leases on worker errors, were
+        # poisoned, and the last-chance in-process attempt raised.
+        assert stats["retries"] >= 2
+        assert stats["poison_jobs"] == 2
 
     def test_on_result_fires_for_pooled_results(self, tmp_path):
-        executor = SweepExecutor(workers=2, retry_backoff_s=0.01)
+        executor = _queue_executor()
         landed = {}
         results = executor.map(
             well_behaved,
@@ -99,6 +121,7 @@ class TestTimeoutsAndRetries:
         )
         assert results == ["done:a", "done:b", "done:c"]
         assert landed == {0: "done:a", 1: "done:b", 2: "done:c"}
+        assert executor.stats()["results_published"] == 3
 
 
 class TestCacheQuarantine:

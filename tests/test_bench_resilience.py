@@ -1,8 +1,7 @@
-"""Self-healing execution: heartbeats, the executor's stall watchdog,
-resilient workload runs, and campaign checkpoint plumbing."""
+"""Self-healing execution: the work queue's stall watchdog, resilient
+workload runs, and campaign checkpoint plumbing."""
 
 import dataclasses
-import json
 import os
 import time
 
@@ -10,8 +9,8 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.harness import build_traces
-from repro.bench.parallel import SweepExecutor, code_version
-from repro.bench.resilience import Heartbeat, run_workload_resilient
+from repro.bench.parallel import SweepExecutor
+from repro.bench.resilience import run_workload_resilient
 from repro.config import fast_config
 from repro.crash.campaign import (
     CampaignReport,
@@ -23,6 +22,7 @@ from repro.crash.campaign import (
 )
 from repro.sim.machine import Machine
 from repro.sim.snapshot import SnapshotStore, result_fingerprint
+from repro.utils.versioning import code_version
 from repro.workloads.base import WorkloadParams
 
 
@@ -40,50 +40,9 @@ def small_spec(**overrides):
     return CampaignSpec(**base)
 
 
-# Module-level so the fork pool can pickle it.  First attempt beats its
-# heartbeat once, drops a sentinel, and hangs; the retry after the
-# watchdog fires sees the sentinel and completes.
-def _beat_then_hang(item):
-    heartbeat_path, sentinel_path = item
-    with open(heartbeat_path, "w", encoding="utf-8") as handle:
-        handle.write("{}")
-    if os.path.exists(sentinel_path):
-        return "healed"
-    with open(sentinel_path, "w", encoding="utf-8") as handle:
-        handle.write("x")
-    time.sleep(60)
-    return "never"  # pragma: no cover - the watchdog kills us first
-
-
-class TestHeartbeat:
-    def test_beat_publishes_json_beacon(self, tmp_path):
-        path = str(tmp_path / "hb.json")
-        heartbeat = Heartbeat(path)
-        assert heartbeat.beat(progress=3) is True
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["pid"] == os.getpid()
-        assert payload["progress"] == 3
-        assert heartbeat.beats_written == 1
-
-    def test_beats_are_rate_limited(self, tmp_path):
-        heartbeat = Heartbeat(str(tmp_path / "hb.json"), min_interval_s=60.0)
-        assert heartbeat.beat() is True
-        assert heartbeat.beat() is False  # within the interval
-        assert heartbeat.beat(force=True) is True
-        assert heartbeat.beats_written == 2
-
-    def test_zero_interval_beats_every_time(self, tmp_path):
-        heartbeat = Heartbeat(str(tmp_path / "hb.json"), min_interval_s=0.0)
-        assert all(heartbeat.beat() for _ in range(5))
-        assert heartbeat.beats_written == 5
-
-    def test_clear_is_idempotent(self, tmp_path):
-        heartbeat = Heartbeat(str(tmp_path / "hb.json"))
-        heartbeat.beat()
-        heartbeat.clear()
-        assert not os.path.exists(heartbeat.path)
-        heartbeat.clear()  # no file, no error
+# Module-level so forked work-queue workers can resolve it.
+def _square(item):
+    return item * item
 
 
 class TestResilientWorkloadRun:
@@ -122,43 +81,29 @@ class TestResilientWorkloadRun:
         assert stats["restored_events"] == 20
         assert result_fingerprint(outcome.result) == expected
 
-    def test_heartbeat_beats_while_running(self, tmp_path):
-        heartbeat = Heartbeat(str(tmp_path / "hb.json"), min_interval_s=0.0)
-        run_workload_resilient(
-            "sca",
-            "array",
-            params=WorkloadParams(operations=4, seed=3),
-            heartbeat=heartbeat,
-        )
-        assert heartbeat.beats_written > 0
-        assert os.path.exists(heartbeat.path)
-
 
 class TestStallWatchdog:
     def test_stalled_workers_are_recycled_and_retried(self, tmp_path):
-        items, heartbeats = [], []
-        for n in range(2):
-            heartbeats.append(str(tmp_path / ("hb%d.json" % n)))
-            items.append((heartbeats[-1], str(tmp_path / ("sentinel%d" % n))))
+        # Both jobs' first claimants go silent holding their leases (a
+        # stall lasts 2.5 lease timeouts).  Lease expiry is the
+        # watchdog: the coordinator terminates each stalled worker,
+        # respawns it and re-runs its job.
+        lease_timeout_s = 2.0
         executor = SweepExecutor(
             workers=2,
-            cache=None,
-            job_timeout_s=30.0,
-            max_retries=2,
-            heartbeat_timeout_s=0.3,
+            queue_dir=str(tmp_path / "q"),
+            lease_timeout_s=lease_timeout_s,
+            chaos_plan={0: ("stall",), 1: ("stall",)},
         )
         started = time.monotonic()
-        values = executor.map(_beat_then_hang, items, heartbeats=heartbeats)
-        assert values == ["healed", "healed"]
-        assert executor.stalls == 2
-        assert executor.stats()["stalls"] == 2
-        # The watchdog fired long before the 30 s job timeout.
-        assert time.monotonic() - started < 20.0
-
-    def test_heartbeats_must_align_with_items(self):
-        executor = SweepExecutor(workers=1, cache=None)
-        with pytest.raises(ValueError):
-            executor.map(len, ["ab", "cd"], heartbeats=["only-one.json"])
+        assert executor.map(_square, [3, 4]) == [9, 16]
+        elapsed = time.monotonic() - started
+        stats = executor.stats()
+        assert stats["leases_expired"] == 2
+        assert stats["worker_respawns"] == 2
+        assert stats["poison_jobs"] == 0
+        # Killed at expiry, not left to finish their stall.
+        assert elapsed < 2.5 * lease_timeout_s
 
 
 class TestCampaignCheckpointing:

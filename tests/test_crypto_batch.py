@@ -177,8 +177,8 @@ class TestBulkCounterCache:
 
 
 class TestFastForward:
-    """run_with_checkpoints' chunked crash-free path (no on_event) must
-    reproduce the per-event fingerprint exactly, checkpoints included."""
+    """run_with_checkpoints' chunked crash-free path must reproduce the
+    per-event fingerprint exactly, checkpoints included."""
 
     def _scenario(self, mechanism, operations, seed):
         config = fast_config(num_cores=2, functional=True)

@@ -328,12 +328,3 @@ class TestRunWithCheckpoints:
             CheckpointPolicy(every_seconds=0.0)
         assert not CheckpointPolicy().enabled
         assert CheckpointPolicy(every_events=10).enabled
-
-    def test_on_event_sees_every_event(self):
-        config, traces, _expected, total = self._base()
-        counts = []
-        run_with_checkpoints(
-            Machine(config, "sca"), traces, on_event=counts.append
-        )
-        assert len(counts) == total
-        assert counts[-1] == total
