@@ -15,10 +15,12 @@ invocations are incremental; ``--no-cache`` forces fresh runs.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import List, Mapping, Optional
 
+from ..utils.durable import write_atomic
 from .experiments import EXPERIMENTS, get_experiment
 from .parallel import ResultCache, SweepExecutor, default_cache_dir
 
@@ -351,6 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(target: str, document: object) -> None:
+    """Emit a ``--json`` report: ``-`` prints it, a path is published
+    with :func:`~repro.utils.durable.write_atomic`, so a kill never
+    leaves a half-written report behind."""
+    payload = json.dumps(document, indent=2, sort_keys=True)
+    if target == "-":
+        print(payload)
+        return
+    write_atomic(target, (payload + "\n").encode("utf-8"))
+    print("wrote %s" % target)
+
+
 def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     if args.clear_cache:
         scrubbed = ResultCache(args.cache_dir)
@@ -370,8 +384,6 @@ def _make_executor(args: argparse.Namespace) -> SweepExecutor:
 
 
 def _run_perf(args: argparse.Namespace) -> int:
-    import json
-
     from .perf import (
         compare_documents,
         render_comparison,
@@ -382,13 +394,7 @@ def _run_perf(args: argparse.Namespace) -> int:
     document = run_perf(scale=args.scale, workers=max(args.workers, 4))
     print(render_perf_report(document))
     if args.json is not None:
-        payload = json.dumps(document, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, document)
     if args.compare is not None:
         with open(args.compare, "r", encoding="utf-8") as stream:
             baseline = json.load(stream)
@@ -402,8 +408,6 @@ def _run_perf(args: argparse.Namespace) -> int:
 
 
 def _run_campaign_chaos(args: argparse.Namespace, spec) -> int:
-    import json
-
     from .chaos import FAULT_KINDS, render_chaos_report, run_chaos_campaign
 
     if args.chaos_faults:
@@ -429,18 +433,11 @@ def _run_campaign_chaos(args: argparse.Namespace, spec) -> int:
         return 2
     print(render_chaos_report(document))
     if args.json is not None:
-        payload = json.dumps(document, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, document)
     return 0 if document["ok"] else 1
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from ..errors import CampaignError
@@ -560,13 +557,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         )
     print(line)
     if args.json is not None:
-        payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, report.as_dict())
     if report.crashed:
         print(
             "%d crash point(s) made recovery itself crash" % report.crashed,
@@ -598,8 +589,6 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """The KV service scenario: traffic -> (crash ->) recover -> SLO report."""
-    import json
-
     from ..errors import ReproError
     from ..service.scenario import ServiceJob, ServiceRunner
     from ..service.traffic import TrafficSpec
@@ -639,13 +628,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     print(report.render())
     if args.json is not None:
-        payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, report.as_dict())
     if report.crashed:
         print(
             "%d design(s): recovery itself crashed" % report.crashed,
@@ -690,16 +673,7 @@ def _run_designs(args: argparse.Namespace) -> int:
             }
         )
     if args.json is not None:
-        import json
-
-        payload = json.dumps({"designs": rows}, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
-            return 0
+        _write_json(args.json, {"designs": rows})
         return 0
     header = ("design", "layout", "atomicity", "integrity", "bus", "crash-consistent")
     widths = [len(column) for column in header]
@@ -776,14 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             % (executor.cache_hits, executor.cache_misses, executor.cache.directory)
         )
     if args.json is not None:
-        import json
-
-        payload = json.dumps({"results": documents}, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
+        _write_json(args.json, {"results": documents})
     if failed_claims:
         print("%d claim(s) did not hold" % failed_claims, file=sys.stderr)
         return 1

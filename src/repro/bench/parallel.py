@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig, fast_config
 from ..sim.stats import CoreStats, MachineStats
+from ..utils.durable import frame, quarantine, read_framed, write_atomic
 from ..utils.versioning import code_version
 from ..workloads.base import WorkloadParams
 
@@ -149,12 +150,14 @@ def default_cache_dir() -> str:
 
 
 class ResultCache:
-    """One JSON file per finished job under ``directory``.
+    """One framed JSON file per finished job under ``directory``.
 
     File name is the job's cache key, so lookups are a single ``open``.
-    A missing file is a plain miss; a file that exists but does not
-    parse back into stats is *corruption* — it is quarantined (renamed
-    to ``<key>.json.corrupt`` for inspection), counted in
+    Entries are :func:`~repro.utils.durable.frame`-d JSON published
+    with :func:`~repro.utils.durable.write_atomic`.  A missing file is
+    a plain miss; a file that fails its checksum or does not parse back
+    into stats is *corruption* — it is quarantined (renamed to
+    ``<key>.json.corrupt`` for inspection), counted in
     ``corruption_events`` and logged, never silently recomputed over.
     """
 
@@ -168,8 +171,7 @@ class ResultCache:
     def get(self, key: str) -> Optional[MachineStats]:
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                payload = json.load(stream)
+            payload = json.loads(read_framed(path).decode("utf-8"))
             return stats_from_dict(payload["stats"])
         except FileNotFoundError:
             return None
@@ -177,40 +179,30 @@ class ResultCache:
             # Unreadable (permissions, I/O): a miss, but not corrupt data.
             return None
         except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, exc)
+            self.corruption_events += 1
+            if quarantine(path, path + ".corrupt"):
+                where = "quarantined to %s.corrupt" % path
+            else:
+                where = "could not be quarantined"
+            logger.warning(
+                "corrupt result-cache entry %s (%s: %s); %s",
+                path,
+                type(exc).__name__,
+                exc,
+                where,
+            )
             return None
-
-    def _quarantine(self, path: str, exc: Exception) -> None:
-        self.corruption_events += 1
-        quarantine_path = path + ".corrupt"
-        try:
-            os.replace(path, quarantine_path)
-            where = "quarantined to %s" % quarantine_path
-        except OSError:
-            where = "could not be quarantined"
-        logger.warning(
-            "corrupt result-cache entry %s (%s: %s); %s",
-            path,
-            type(exc).__name__,
-            exc,
-            where,
-        )
 
     def put(self, key: str, stats: MachineStats) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        tmp_path = path + ".tmp.%d" % os.getpid()
         payload = {"key": key, "stats": stats_to_dict(stats)}
         try:
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            os.replace(tmp_path, path)
+            write_atomic(
+                self._path(key),
+                frame(json.dumps(payload, sort_keys=True).encode("utf-8")),
+            )
         except OSError:
-            # A read-only cache directory degrades to no caching.
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+            pass  # a read-only cache directory degrades to no caching
 
     def clear(self) -> int:
         """Remove all cached results (quarantined ones included)."""

@@ -7,8 +7,9 @@ simulated memory controller applies to counter/data pairs.  The
 protocol:
 
 ``jobs/<id>.job``
-    The pickled job payload, framed with a SHA-256 header so a torn or
-    tampered payload is *detected*, never silently executed.
+    The pickled job payload, framed and written atomically with
+    :mod:`repro.utils.durable` so a torn or tampered payload is
+    *detected*, never silently executed.
 ``pending/<id>``
     An empty claim token.  Claiming is ``rename(pending/<id>,
     leases/<id>)`` — atomic on POSIX, so exactly one claimant wins and
@@ -23,9 +24,10 @@ protocol:
     stalled or hung worker's job is re-run by a respawned one.
 ``results/<id>.res``
     The published result, framed like the job payload and linked into
-    place with ``os.link`` (atomic, fails-if-exists): publication is
-    *idempotent* — the first valid publication wins, every later
-    attempt surfaces as a counted duplicate, never as a second result.
+    place by :func:`~repro.utils.durable.publish_once` (atomic,
+    fails-if-exists): publication is *idempotent* — the first valid
+    publication wins, every later attempt surfaces as a counted
+    duplicate, never as a second result.
 ``events/``
     Append-only marker files through which workers report claims,
     errors and duplicate publications to the coordinator (workers
@@ -75,6 +77,7 @@ from typing import (
 )
 
 from ..errors import JobExecutionError
+from ..utils.durable import frame, publish_once, quarantine, read_framed, write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .parallel import ResultCallback, SweepExecutor
@@ -103,38 +106,6 @@ _uniq_counter = itertools.count()
 
 def _uniq() -> str:
     return "%d.%d" % (os.getpid(), next(_uniq_counter))
-
-
-# ---------------------------------------------------------------------------
-# Payload framing
-
-
-def _frame(payload: bytes) -> bytes:
-    """Prefix a payload with its SHA-256 so torn/corrupt reads fail loudly."""
-    return hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload
-
-
-def _unframe(blob: bytes) -> bytes:
-    head, sep, payload = blob.partition(b"\n")
-    if not sep:
-        raise ValueError("truncated frame: no checksum header")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != head:
-        raise ValueError("frame checksum mismatch")
-    return payload
-
-
-def _write_frame(path: str, payload: bytes) -> None:
-    tmp = "%s.tmp.%s" % (path, _uniq())
-    with open(tmp, "wb") as stream:
-        stream.write(_frame(payload))
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
-
-
-def _read_frame(path: str) -> bytes:
-    with open(path, "rb") as stream:
-        return _unframe(stream.read())
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +222,8 @@ def _claim(queue_dir: str, known_ids: frozenset) -> Optional[str]:
 def _publish(queue_dir: str, job_id: str, frame_bytes: bytes) -> bool:
     """Idempotently publish a result frame; False when a result already
     exists (the duplicate is dropped and reported, never applied)."""
-    results_dir = os.path.join(queue_dir, "results")
-    tmp = os.path.join(results_dir, "%s.tmp.%s" % (job_id, _uniq()))
-    with open(tmp, "wb") as stream:
-        stream.write(frame_bytes)
-        stream.flush()
-        os.fsync(stream.fileno())
-    final = os.path.join(results_dir, job_id + ".res")
-    try:
-        os.link(tmp, final)  # atomic fail-if-exists publication
-        published = True
-    except FileExistsError:
-        published = False
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    path = os.path.join(queue_dir, "results", job_id + ".res")
+    published = publish_once(path, frame_bytes)
     if not published:
         _event(queue_dir, job_id, "dup")
     return published
@@ -301,7 +257,7 @@ def _worker_process_one(
             time.sleep(min(0.05, lease_timeout_s / 4.0))
         return
     try:
-        item = pickle.loads(_read_frame(os.path.join(queue_dir, "jobs", job_id + ".job")))
+        item = pickle.loads(read_framed(os.path.join(queue_dir, "jobs", job_id + ".job")))
     except Exception:
         _event(queue_dir, job_id, "err", traceback.format_exc())
         _release(queue_dir, job_id)
@@ -318,8 +274,7 @@ def _worker_process_one(
         _release(queue_dir, job_id)
         return
     renewer.stop()
-    payload = pickle.dumps(value)
-    frame_bytes = _frame(payload)
+    frame_bytes = frame(pickle.dumps(value))
     if "corrupt" in faults and _latch(queue_dir, job_id, "corrupt"):
         # Lie: publish a payload that no longer matches its checksum.
         body = bytearray(frame_bytes)
@@ -490,7 +445,7 @@ class WorkQueue:
             res_path = self._path("results", job_id + ".res")
             if os.path.exists(res_path):
                 try:
-                    _deliver(job_id, pickle.loads(_read_frame(res_path)))
+                    _deliver(job_id, pickle.loads(read_framed(res_path)))
                     self.counters.results_reused += 1
                     continue
                 except Exception:
@@ -504,7 +459,7 @@ class WorkQueue:
         seen_events: Set[str] = set(self._list("events"))
         for job_id in to_run:
             first = indices_by_id[job_id][0]
-            _write_frame(self._path("jobs", job_id + ".job"), payloads[first])
+            write_atomic(self._path("jobs", job_id + ".job"), frame(payloads[first]))
             # A lease orphaned by a dead prior coordinator blocks the
             # job; fold it back into pending before workers start.
             if os.path.exists(self._path("leases", job_id)):
@@ -564,7 +519,7 @@ class WorkQueue:
             res_path = self._path("results", job_id + ".res")
             if os.path.exists(res_path):
                 try:
-                    _deliver(job_id, pickle.loads(_read_frame(res_path)))
+                    _deliver(job_id, pickle.loads(read_framed(res_path)))
                     self.counters.results_published += 1
                     poison.discard(job_id)
                 except Exception:
@@ -584,12 +539,10 @@ class WorkQueue:
             return []
 
     def _quarantine_result(self, job_id: str) -> None:
-        src = self._path("results", job_id + ".res")
-        dst = self._path("quarantine", "%s.res.corrupt.%s" % (job_id, _uniq()))
-        try:
-            os.replace(src, dst)
-        except OSError:
-            pass
+        quarantine(
+            self._path("results", job_id + ".res"),
+            self._path("quarantine", "%s.res.corrupt.%s" % (job_id, _uniq())),
+        )
         logger.warning("workqueue: corrupt result for job %s quarantined", job_id)
 
     def _collect_results(
@@ -605,7 +558,7 @@ class WorkQueue:
             if not os.path.exists(res_path):
                 continue
             try:
-                value = pickle.loads(_read_frame(res_path))
+                value = pickle.loads(read_framed(res_path))
             except Exception:
                 # A worker lied (or the frame tore): quarantine the
                 # payload, free the name, and put the job back in play.
@@ -785,8 +738,8 @@ class WorkQueue:
             index = indices_by_id[job_id][0]
             value = fn(items[index])
             deliver(job_id, value)
-            _write_frame(
-                self._path("results", job_id + ".res"), pickle.dumps(value)
+            write_atomic(
+                self._path("results", job_id + ".res"), frame(pickle.dumps(value))
             )
             self.counters.results_published += 1
 

@@ -48,6 +48,7 @@ from ..config import KB
 from ..errors import CampaignError, CampaignJournalError
 from ..faults import make_fault_model
 from ..faults.registry import DEFAULT_SUITE
+from ..utils.durable import append_line, write_atomic
 from .injector import CrashInjector, uniform_sample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (bench -> txn -> crash)
@@ -675,76 +676,44 @@ class JobJournal:
             ) from None
         good_lines = [line_by_key[key] for key in order]
         self.superseded += superseded
+        self.quarantined += len(torn_lines)
+        if not (torn_lines or superseded):
+            return completed
+        # Rewrite the journal with only the surviving lines, torn ones
+        # moved to a side file first.  Both writes are best-effort: a
+        # read-only journal degrades to in-memory skipping/dedup, never
+        # to a failed resume.
+        quarantine_path = self.path + ".quarantine"
+        try:
+            if torn_lines:
+                append_line(quarantine_path, "\n".join(torn_lines))
+            write_atomic(
+                self.path, "".join(line + "\n" for line in good_lines).encode("utf-8")
+            )
+        except OSError as exc:
+            if torn_lines:
+                logger.warning(
+                    "job journal %s: could not quarantine %d torn line(s) (%s); "
+                    "they will be skipped in memory instead",
+                    self.path,
+                    len(torn_lines),
+                    exc,
+                )
+            else:
+                logger.warning(
+                    "job journal %s: could not rewrite deduped journal (%s)",
+                    self.path,
+                    exc,
+                )
+            return completed
         if torn_lines:
-            self.quarantined += len(torn_lines)
-            self._quarantine_lines(good_lines, torn_lines)
-        elif superseded:
-            self._rewrite(good_lines)
-        return completed
-
-    def _rewrite(self, good_lines: List[str]) -> None:
-        """Atomically rewrite the journal with only the surviving lines."""
-        path = self.path
-        if path is None:
-            return
-        try:
-            tmp_path = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                for line in good_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            # Best-effort: a read-only journal degrades to in-memory
-            # deduplication, never to a failed resume.
             logger.warning(
-                "job journal %s: could not rewrite deduped journal (%s)",
-                path,
-                exc,
-            )
-
-    def _quarantine_lines(
-        self, good_lines: List[str], torn_lines: List[str]
-    ) -> None:
-        """Move torn records to a side file; rewrite the journal clean.
-
-        Both writes are best-effort: a read-only journal directory
-        degrades to in-memory skipping (the historical behaviour), it
-        never turns a recoverable resume into a hard failure.
-        """
-        path = self.path
-        if path is None:
-            return
-        quarantine_path = path + ".quarantine"
-        try:
-            with open(quarantine_path, "a", encoding="utf-8") as stream:
-                for line in torn_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            tmp_path = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                for line in good_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            logger.warning(
-                "job journal %s: could not quarantine %d torn line(s) (%s); "
-                "they will be skipped in memory instead",
-                path,
+                "job journal %s: quarantined %d torn line(s) to %s",
+                self.path,
                 len(torn_lines),
-                exc,
+                quarantine_path,
             )
-            return
-        logger.warning(
-            "job journal %s: quarantined %d torn line(s) to %s",
-            path,
-            len(torn_lines),
-            quarantine_path,
-        )
+        return completed
 
     def append(self, result: Dict[str, object]) -> None:
         if self.path is None:
@@ -752,13 +721,10 @@ class JobJournal:
         assert self.journal_dir is not None
         os.makedirs(self.journal_dir, exist_ok=True)
         try:
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(result, sort_keys=True) + "\n")
-                # flush+fsync per record: a power cut or SIGKILL can
-                # tear at most the line being written, and that line is
-                # quarantined (not fatal) on the next resume.
-                stream.flush()
-                os.fsync(stream.fileno())
+            # One fsynced line per record: a power cut or SIGKILL can
+            # tear at most the line being written, and that line is
+            # quarantined (not fatal) on the next resume.
+            append_line(self.path, json.dumps(result, sort_keys=True))
         except OSError as exc:
             raise CampaignJournalError(
                 "cannot append to job journal %s: %s" % (self.path, exc)

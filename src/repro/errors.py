@@ -153,8 +153,8 @@ class SnapshotError(ReproError):
 class SnapshotCorruptError(SnapshotError):
     """A snapshot file is torn or fails its checksum.
 
-    Raised by the reader when the magic, header, CRC or body length do
-    not hold together — the restore path quarantines the file and falls
+    Raised by the reader when the frame checksum, magic or header do not
+    hold together — the restore path quarantines the file and falls
     back to the previous generation.
     """
 

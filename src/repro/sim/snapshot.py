@@ -6,13 +6,15 @@ state capture (see ``Machine.get_state``) into generation-numbered
 snapshot files using the same discipline the paper demands of NVM
 software:
 
-* **Atomicity** — a snapshot is written to a temporary file in the same
-  directory, flushed and ``fsync``'d, then published with an atomic
-  ``os.replace``; a crash mid-write leaves the previous generation
-  untouched and at worst an orphan ``*.tmp``.
-* **Detection** — the header carries a CRC-32 of the body, so a torn or
-  bit-flipped snapshot is detected on load and quarantined (renamed to
-  ``*.corrupt``) rather than trusted.
+* **Atomicity** — a snapshot is published with
+  :func:`repro.utils.durable.write_atomic`: a temporary sibling is
+  fsynced and atomically renamed over the target, so a crash mid-write
+  leaves the previous generation untouched and at worst an orphan
+  ``*.tmp.*``.
+* **Detection** — the whole file is one :func:`repro.utils.durable.frame`
+  (a SHA-256 of the container), so a torn or bit-flipped snapshot is
+  detected on load and quarantined (renamed to ``*.corrupt``) rather
+  than trusted.
 * **Versioning** — the header records the repository code hash
   (``repro.utils.versioning.code_version``); a snapshot written by
   different sources is invalidated instead of restored, because resumed
@@ -29,7 +31,6 @@ run (asserted by ``result_fingerprint`` in the test suite).
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import json
 import os
@@ -40,12 +41,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
+from ..utils.durable import frame, quarantine, unframe, write_atomic
 from .machine import Machine, SimulationResult
 
 #: File magic: identifies a repro checkpoint and its container revision.
 MAGIC = b"REPROCKPT1\n"
 #: Header format revision inside the container.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: Pickle protocol 4 is available on every supported interpreter.
 PICKLE_PROTOCOL = 4
 
@@ -72,37 +74,14 @@ def write_snapshot(
     header = {
         "format": FORMAT_VERSION,
         "code": code,
-        "crc": binascii.crc32(body) & 0xFFFFFFFF,
-        "body_bytes": len(body),
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_HEADER_LEN.pack(len(header_bytes)))
-        handle.write(header_bytes)
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    _fsync_directory(directory)
+    write_atomic(
+        path,
+        frame(MAGIC + _HEADER_LEN.pack(len(header_bytes)) + header_bytes + body),
+    )
     return path
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def read_snapshot(
@@ -119,18 +98,21 @@ def read_snapshot(
             blob = handle.read()
     except OSError as exc:
         raise SnapshotError("cannot read snapshot %s: %s" % (path, exc)) from exc
+    if blob.startswith(MAGIC):
+        # Written before snapshots were framed: stale, not damaged.
+        raise SnapshotVersionError("%s: unframed format-1 snapshot" % path)
+    try:
+        blob = unframe(blob)
+    except ValueError as exc:
+        raise SnapshotCorruptError("%s: %s" % (path, exc)) from exc
     if not blob.startswith(MAGIC):
         raise SnapshotCorruptError("%s: bad magic (not a snapshot?)" % path)
     offset = len(MAGIC)
-    if len(blob) < offset + _HEADER_LEN.size:
-        raise SnapshotCorruptError("%s: truncated before header length" % path)
-    (header_len,) = _HEADER_LEN.unpack_from(blob, offset)
-    offset += _HEADER_LEN.size
-    if len(blob) < offset + header_len:
-        raise SnapshotCorruptError("%s: truncated header" % path)
     try:
+        (header_len,) = _HEADER_LEN.unpack_from(blob, offset)
+        offset += _HEADER_LEN.size
         header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:
         raise SnapshotCorruptError("%s: unparseable header" % path) from exc
     offset += header_len
     if header.get("format") != FORMAT_VERSION:
@@ -139,13 +121,6 @@ def read_snapshot(
             % (path, header.get("format"), FORMAT_VERSION)
         )
     body = blob[offset:]
-    if len(body) != header.get("body_bytes"):
-        raise SnapshotCorruptError(
-            "%s: body is %d bytes, header promised %s"
-            % (path, len(body), header.get("body_bytes"))
-        )
-    if (binascii.crc32(body) & 0xFFFFFFFF) != header.get("crc"):
-        raise SnapshotCorruptError("%s: body checksum mismatch" % path)
     if expected_code and header.get("code") != expected_code:
         raise SnapshotVersionError(
             "%s: written by code %s, current code is %s"
@@ -226,14 +201,6 @@ class SnapshotStore:
             except OSError:
                 pass
 
-    def _quarantine(self, generation: int) -> None:
-        path = self._path(generation)
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            pass
-        self.quarantined += 1
-
     def _invalidate(self, generation: int) -> None:
         try:
             os.unlink(self._path(generation))
@@ -252,7 +219,8 @@ class SnapshotStore:
             try:
                 return read_snapshot(path, expected_code=self.code or None)
             except SnapshotCorruptError:
-                self._quarantine(generation)
+                quarantine(path, path + ".corrupt")
+                self.quarantined += 1
             except SnapshotVersionError:
                 self._invalidate(generation)
         return None

@@ -119,14 +119,15 @@ class TestWorkQueueProtocol:
     def test_second_publication_is_dropped(self, tmp_path):
         # The primitive behind the duplicate defence: publication is
         # hardlink-if-absent, so a second publish never overwrites.
-        from repro.bench.workqueue import _frame, _publish, _read_frame
+        from repro.bench.workqueue import _publish
+        from repro.utils.durable import frame, read_framed
 
         queue_dir = tmp_path / "q"
         for sub in ("results", "events"):
             (queue_dir / sub).mkdir(parents=True)
-        assert _publish(str(queue_dir), "job1", _frame(b"first")) is True
-        assert _publish(str(queue_dir), "job1", _frame(b"second")) is False
-        assert _read_frame(str(queue_dir / "results" / "job1.res")) == b"first"
+        assert _publish(str(queue_dir), "job1", frame(b"first")) is True
+        assert _publish(str(queue_dir), "job1", frame(b"second")) is False
+        assert read_framed(str(queue_dir / "results" / "job1.res")) == b"first"
         dup_events = [
             name
             for name in os.listdir(queue_dir / "events")

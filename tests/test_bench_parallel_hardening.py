@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 import time
 
 import pytest
@@ -148,6 +149,28 @@ class TestCacheQuarantine:
         assert executor.stats()["cache_corruption_events"] == 1
         # The recomputed result replaced the quarantined entry.
         assert cache.get(key) is not None
+
+    def test_changed_number_in_a_parseable_entry_is_detected(self, tmp_path):
+        # A bit flip that keeps the entry valid JSON must not be trusted:
+        # the checksum catches it, and the entry is quarantined and rerun.
+        cache = ResultCache(str(tmp_path))
+        job = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
+        key = job_cache_key(job)
+        (fresh,) = SweepExecutor(workers=1, cache=cache).map_stats([job])
+        entry = tmp_path / (key + ".json")
+        blob, flips = re.subn(
+            rb'"bytes_read": (\d+)',
+            lambda m: b'"bytes_read": %d' % (int(m.group(1)) + 1),
+            entry.read_bytes(),
+        )
+        assert flips == 1
+        entry.write_bytes(blob)
+        executor = SweepExecutor(workers=1, cache=cache)
+        (recomputed,) = executor.map_stats([job])
+        assert executor.cache_corruption_events == 1
+        assert (tmp_path / (key + ".json.corrupt")).exists()
+        assert recomputed == fresh
+        assert cache.get(key) == fresh
 
     def test_clear_sweeps_quarantined_files_too(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -26,6 +26,7 @@ from repro.sim.snapshot import (
 from repro.sim.trace import TraceBuilder
 from repro.txn.heap import MemoryLayout
 from repro.txn.shadow import ShadowTransactions
+from repro.utils.durable import frame
 from repro.workloads.base import WorkloadParams
 
 #: Every transaction mechanism the repo implements.  The first three go
@@ -182,11 +183,10 @@ class TestSnapshotFile:
 
     def test_unknown_container_format_rejected(self, tmp_path):
         path = str(tmp_path / "future.ckpt")
-        header = b'{"format": 999, "code": "", "crc": 0, "body_bytes": 0, "meta": {}}'
+        header = b'{"format": 999, "code": "", "meta": {}}'
+        # Wrapped in the shared frame so the file reaches the format check.
         with open(path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack(">I", len(header)))
-            handle.write(header)
+            handle.write(frame(MAGIC + struct.pack(">I", len(header)) + header))
         with pytest.raises(SnapshotVersionError):
             read_snapshot(path)
 
