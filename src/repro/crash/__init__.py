@@ -11,6 +11,7 @@ from .injector import CrashImage, CrashInjector, nested_crash_image
 from .recovery import GarbageRead, RecoveredMemory, RecoveryManager
 from .checker import CrashConsistencyReport, sweep_crash_points
 from .counter_recovery import CounterRecoverer, CounterRecoveryReport, collect_tags
+from .verdict import Outcome, Status, Verdict
 from .session import (
     RecoveryContext,
     RecoveryLedger,
@@ -23,12 +24,14 @@ from .campaign import (
     CampaignReport,
     CampaignRunner,
     CampaignSpec,
-    Outcome,
     job_key,
     run_campaign_job,
 )
 
 __all__ = [
+    "Outcome",
+    "Status",
+    "Verdict",
     "CrashImage",
     "CrashInjector",
     "nested_crash_image",
@@ -49,7 +52,6 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "CampaignSpec",
-    "Outcome",
     "job_key",
     "run_campaign_job",
 ]

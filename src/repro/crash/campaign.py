@@ -3,28 +3,9 @@
 A *campaign* is the systematic version of the one-off crash sweep: for
 every combination of workload, design, transaction mechanism and fault
 model it reconstructs crash images across the run, corrupts them with
-the fault model, runs real recovery, and classifies every outcome into
-the triage taxonomy:
-
-* ``recovered``          — recovery produced a consistent state;
-* ``recovered-by-search``— plain recovery detected a bad state, but the
-  Osiris-style counter search (``--with-counter-recovery``) repaired
-  it to a provably consistent one;
-* ``detected``           — the state was bad and recovery *said so*
-  (decryption failure, corrupt-record check, checksum mismatch);
-* ``detected-by-tree``   — recovery accepted a state the oracle proves
-  wrong, but the integrity tree's post-crash walk (root register +
-  ECC-lane tag sweep; ``+bmt`` designs) flagged it — would-be silent
-  corruption converted into a detection;
-* ``silent-corruption``  — recovery accepted a state the oracle proves
-  wrong: the bucket that breaks real systems;
-* ``recovery-crashed``   — the recovery procedure itself raised an
-  unexpected exception on the corrupted image.
-
-The ``--nested-crash`` axis adds two more buckets: an injected second
-power failure *during* recovery after which the resumed recovery still
-converged (``recovered-after-nested-crash``) or at least stayed loud
-(``detected-after-nested-crash``).
+the fault model, runs real recovery, and labels every outcome with the
+triage taxonomy of :class:`repro.crash.verdict.Outcome` (the labels
+are described there, in one place).
 
 Campaigns are deterministic (same seed, same spec -> same outcome
 table) and resumable: every finished job is journaled to
@@ -35,7 +16,6 @@ jobs whose key (spec + seed + code version) still matches.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import logging
@@ -50,6 +30,7 @@ from ..faults import make_fault_model
 from ..faults.registry import DEFAULT_SUITE
 from ..utils.durable import append_line, write_atomic
 from .injector import CrashInjector, uniform_sample
+from .verdict import Outcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (bench -> txn -> crash)
     from ..bench.parallel import SweepExecutor
@@ -58,23 +39,6 @@ logger = logging.getLogger(__name__)
 
 #: Cap on non-clean outcome examples kept per job for the triage report.
 EXAMPLES_PER_JOB = 3
-
-
-class Outcome(enum.Enum):
-    """The campaign triage taxonomy."""
-
-    RECOVERED = "recovered"
-    RECOVERED_SEARCH = "recovered-by-search"
-    #: An injected mid-recovery power failure, after which the resumed
-    #: recovery still reached a provably consistent state.
-    RECOVERED_NESTED = "recovered-after-nested-crash"
-    DETECTED = "detected"
-    DETECTED_TREE = "detected-by-tree"
-    #: A nested crash after which the state stayed bad but every
-    #: detection channel still fired — never silent.
-    DETECTED_NESTED = "detected-after-nested-crash"
-    SILENT = "silent-corruption"
-    CRASHED = "recovery-crashed"
 
 
 @dataclass(frozen=True)
@@ -140,37 +104,6 @@ def job_key(job: CampaignJob) -> str:
     document["code"] = code_version()
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def _classify_session(result, nested_swept: bool) -> Tuple[Outcome, str]:
-    """Map one :class:`SessionResult` into the triage taxonomy.
-
-    When nested crashes actually fired, the nested buckets take over:
-    they are the sweep's observable — did the *resumed* recovery still
-    converge (``recovered-after-nested-crash``) or at least stay loud
-    (``detected-after-nested-crash``)?  Silent and crashed keep their
-    identity regardless: a nested crash never excuses either.
-    """
-    nested = nested_swept and result.nested_injected > 0
-    if result.status == "consistent":
-        if nested:
-            return Outcome.RECOVERED_NESTED, result.detail
-        if result.via_search:
-            return Outcome.RECOVERED_SEARCH, result.detail
-        return Outcome.RECOVERED, result.detail
-    if result.status in ("detected", "detected-tree"):
-        if nested:
-            return Outcome.DETECTED_NESTED, result.detail
-        if result.status == "detected-tree":
-            return Outcome.DETECTED_TREE, result.detail
-        return Outcome.DETECTED, result.detail
-    if result.status == "silent":
-        return Outcome.SILENT, result.detail
-    return Outcome.CRASHED, result.detail
-
-
-#: Outcomes that are successes — excluded from the triage examples.
-_CLEAN_OUTCOMES = (Outcome.RECOVERED, Outcome.RECOVERED_SEARCH, Outcome.RECOVERED_NESTED)
 
 
 def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
@@ -241,9 +174,6 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
             )
         )
 
-    def classify(recovered, context):
-        return validator.classify(recovered, context=context)
-
     tallies: Dict[str, int] = {o.value: 0 for o in Outcome}
     examples: List[Dict[str, object]] = []
     fault_events = 0
@@ -269,20 +199,25 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
             )
             session_error = None
             try:
-                result = session.run(image, classify)
+                result = session.run(image, validator.classify)
             except Exception as exc:  # ladder non-convergence: a finding
                 session_error = error_digest(exc)
                 classified = Outcome.CRASHED
                 detail = "%s: %s" % (session_error["type"], session_error["message"])
                 ladder = None
             else:
-                classified, detail = _classify_session(result, schedule is not None)
+                classified = Outcome.of(
+                    result.status,
+                    result.via_search,
+                    nested=schedule is not None and result.nested_injected > 0,
+                )
+                detail = result.detail
                 session_error = result.error
                 nested_injected += result.nested_injected
                 ladder = result.ledger.as_dict()
             tallies[classified.value] += 1
             cells += 1
-            if classified not in _CLEAN_OUTCOMES and len(examples) < EXAMPLES_PER_JOB:
+            if not classified.clean and len(examples) < EXAMPLES_PER_JOB:
                 example: Dict[str, object] = {
                     "crash_ns": crash_ns,
                     "outcome": classified.value,
@@ -318,18 +253,11 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
         # ``--strict`` fails on.
         from .sharded import sweep_shard_failures
 
-        shard_report = sweep_shard_failures(
+        document["shard_failures"] = sweep_shard_failures(
             outcome.result,
             outcome.runs[0],
             max_points=max(2, job.crash_points // 4),
         )
-        document["shard_failures"] = {
-            "points": shard_report.total,
-            "consistent": shard_report.consistent,
-            "detected": shard_report.detected,
-            "torn_uncommitted": len(shard_report.silent_failures),
-            "acked_commit_lost": len(shard_report.acked_losses),
-        }
     return document
 
 
@@ -531,32 +459,14 @@ class CampaignReport:
                     job["mechanism"],
                     job["fault"],
                     result["points"],
-                    outcomes.get(Outcome.RECOVERED.value, 0),
-                    outcomes.get(Outcome.RECOVERED_SEARCH.value, 0),
-                    outcomes.get(Outcome.RECOVERED_NESTED.value, 0),
-                    outcomes.get(Outcome.DETECTED.value, 0),
-                    outcomes.get(Outcome.DETECTED_TREE.value, 0),
-                    outcomes.get(Outcome.DETECTED_NESTED.value, 0),
-                    outcomes.get(Outcome.SILENT.value, 0),
-                    outcomes.get(Outcome.CRASHED.value, 0),
+                    # One column per label, in declaration order.
+                    *(outcomes.get(o.value, 0) for o in Outcome),
                 )
             )
         lines.append("-" * len(header))
         lines.append(
-            "totals: %d recovered, %d recovered-by-search, "
-            "%d recovered-after-nested-crash, %d detected, %d detected-by-tree, "
-            "%d detected-after-nested-crash, %d silent-corruption, "
-            "%d recovery-crashed"
-            % (
-                self.total(Outcome.RECOVERED),
-                self.total(Outcome.RECOVERED_SEARCH),
-                self.total(Outcome.RECOVERED_NESTED),
-                self.total(Outcome.DETECTED),
-                self.total(Outcome.DETECTED_TREE),
-                self.total(Outcome.DETECTED_NESTED),
-                self.silent,
-                self.crashed,
-            )
+            "totals: "
+            + ", ".join("%d %s" % (self.total(o), o.value) for o in Outcome)
         )
         if self.resumed_jobs:
             lines.append("resumed: %d job(s) restored from the journal" % self.resumed_jobs)

@@ -40,6 +40,7 @@ from ..errors import NestedCrash, RecoveryError
 from ..faults.recovery import RECOVERY_PHASES, RecoveryFaultPlan
 from .injector import CrashImage, nested_crash_image
 from .recovery import RecoveredMemory, RecoveryManager
+from .verdict import Status, Verdict, covers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .counter_recovery import CounterRecoverer
@@ -47,10 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
 #: A classifier runs mechanism recovery over the decrypted memory and
-#: returns a verdict with ``consistent`` / ``detected`` / ``silent``
-#: fields (:class:`repro.workloads.base.ValidationVerdict`); the
-#: context must be threaded into the recovery procedures it calls.
-Classifier = Callable[[RecoveredMemory, "RecoveryContext"], Any]
+#: returns its :class:`~repro.crash.verdict.Verdict`; the context must
+#: be threaded into the recovery procedures it calls.
+Classifier = Callable[[RecoveredMemory, "RecoveryContext"], Verdict]
 
 #: Margin on the per-rung retry bound: every retry past the first needs
 #: at least one freshly fired (one-shot) fault point, so a converging
@@ -202,15 +202,14 @@ def error_digest(exc: BaseException) -> Dict[str, object]:
 class SessionResult:
     """What one recovery session concluded about one crash image."""
 
-    #: consistent | detected | detected-tree | silent | crashed
-    status: str
+    status: Status
     detail: str = ""
     #: Consistency was reached only through counter search / tree repair.
     via_search: bool = False
     #: Nested crashes injected (and survived or not) during the session.
     nested_injected: int = 0
     recovered: Optional[RecoveredMemory] = None
-    verdict: Optional[Any] = None
+    verdict: Optional[Verdict] = None
     ledger: RecoveryLedger = field(default_factory=RecoveryLedger)
     #: Exception triage for ``crashed`` status (:func:`error_digest`).
     error: Optional[Dict[str, object]] = None
@@ -359,33 +358,36 @@ class RecoverySession:
     def run(self, image: CrashImage, classify: Classifier) -> SessionResult:
         """Execute the full escalation ladder for one crash image."""
         ledger = RecoveryLedger()
-        result = SessionResult(status="crashed", ledger=ledger)
+        result = SessionResult(status=Status.CRASHED, ledger=ledger)
 
         working, recovered, verdict, error = self._replay_rung(
             image, classify, ledger
         )
         result.recovered, result.verdict, result.error = recovered, verdict, error
         if error is not None:
-            result.status = "crashed"
+            result.status = Status.CRASHED
             result.detail = "%s: %s" % (error["type"], error["message"])
         elif verdict.consistent:
-            result.status, result.detail = "consistent", ""
+            result.status, result.detail = Status.CONSISTENT, ""
         elif verdict.detected:
-            result.status, result.detail = "detected", verdict.detected[0]
+            result.status, result.detail = Status.DETECTED, verdict.detected[0]
         else:
-            result.status, result.detail = "silent", verdict.silent[0]
+            result.status, result.detail = Status.SILENT, verdict.silent[0]
 
         # Rung 2: Osiris counter search over the same durable state.  A
         # repaired-then-consistent state is adopted; anything else keeps
         # the original classification (a failed search must not mask a
         # detection, nor may it upgrade crashed to silent).
-        if result.status in ("detected", "crashed") and self.recoverer is not None:
+        if (
+            result.status in (Status.DETECTED, Status.CRASHED)
+            and self.recoverer is not None
+        ):
             if self._search_rung(working, ledger):
                 working, recovered, verdict, error = self._replay_rung(
                     working, classify, ledger
                 )
                 if error is None and verdict.consistent:
-                    result.status = "consistent"
+                    result.status = Status.CONSISTENT
                     result.detail = "consistent after counter search"
                     result.via_search = True
                     result.recovered, result.verdict = recovered, verdict
@@ -394,7 +396,7 @@ class RecoverySession:
         # Rung 3: the integrity tree converts accepted-but-wrong states
         # into detections (root walk + ECC-lane tag sweep on first
         # fetch after restart).
-        if result.status == "silent" and self.tree_checked:
+        if result.status is Status.SILENT and self.tree_checked:
             from ..integrity.verifier import verify_image  # deferred
 
             try:
@@ -402,12 +404,12 @@ class RecoverySession:
             except Exception:
                 report = None
             if report is not None and not report.clean:
-                result.status = "detected-tree"
+                result.status = Status.DETECTED_TREE
                 result.detail = report.describe()
 
         # Rung 4: Phoenix tree-guided repair + root reseal.
         if (
-            result.status in ("detected", "detected-tree", "crashed")
+            result.status in (Status.DETECTED, Status.DETECTED_TREE, Status.CRASHED)
             and self.tree_checked
             and self.recoverer is not None
         ):
@@ -417,7 +419,7 @@ class RecoverySession:
                     working, classify, ledger
                 )
                 if error is None and verdict.consistent:
-                    result.status = "consistent"
+                    result.status = Status.CONSISTENT
                     result.detail = "consistent after tree-guided counter search"
                     result.via_search = True
                     result.recovered, result.verdict = recovered, verdict
@@ -452,7 +454,7 @@ def run_sharded_session(
     machine acknowledged as durable.  ``result`` is the
     :class:`~repro.sim.machine.SimulationResult` of a sharded run.
     """
-    # Deferred import: repro.crash.sharded imports the machine module.
+    # Deferred import: repro.crash.sharded imports this module.
     from .sharded import (
         _shard_journals,
         durable_commit_prefix,
@@ -472,9 +474,15 @@ def run_sharded_session(
     )
     required = required_prefix_for_core(prefix, core)
     outcome.ledger.note("reconcile:durable=%d" % required)
-    matched = getattr(outcome.verdict, "matched_prefix", None)
-    if outcome.status == "consistent" and matched is not None and matched < required:
-        outcome.status = "silent"
+    # A verdict without a prefix (a multi-tenant aggregate) has none to
+    # reconcile.
+    matched = outcome.verdict.matched_prefix if outcome.verdict is not None else None
+    if (
+        outcome.status is Status.CONSISTENT
+        and matched is not None
+        and not covers(matched, required)
+    ):
+        outcome.status = Status.SILENT
         outcome.detail = "recovered prefix %d below durable commit prefix %d" % (
             matched,
             required,

@@ -17,10 +17,12 @@ recovery-side reconciliation it forces:
   actually persisted, returning the longest prefix of commits whose
   touched-shard watermarks all survived — the linearizable acked
   prefix the machine may still claim after the failure.
-* :func:`sweep_shard_failures` runs the whole loop: image, recovery,
-  structural validation, and the reconciliation check that the
-  recovered state never falls below the durable commit prefix (losing
-  a commit the barrier proved durable would be silent corruption).
+* :func:`sweep_shard_failures` runs
+  :func:`~repro.crash.session.run_sharded_session` (image, recovery,
+  structural validation, and the reconciliation that the recovered
+  state never falls below the durable commit prefix — losing a commit
+  the barrier proved durable is silent corruption) over sampled
+  instants and shard subsets, and tallies the verdicts.
 
 Uniform all-shard crashes need none of this: the coordinator's merged
 journal makes the stock :class:`repro.crash.injector.CrashInjector`
@@ -29,16 +31,17 @@ sweep shards transparently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
-from ..errors import SimulationError
+from ..errors import RecoveryError, SimulationError
 from ..nvm.device import NVMDevice
 from ..persist.journal import CommitRecord, PersistJournal
 from ..sim.machine import SimulationResult
 from .injector import CrashImage, CrashInjector, uniform_sample
+from .session import RecoverySession, run_sharded_session
+from .verdict import Status
 
 
 def _shard_journals(result: SimulationResult) -> List[PersistJournal]:
@@ -208,77 +211,6 @@ def required_prefix_for_core(prefix: Sequence[CommitRecord], core: int) -> int:
     return sum(1 for commit in prefix if commit.core == core)
 
 
-@dataclass
-class ShardFailureOutcome:
-    """One injected shard-subset failure, recovered and reconciled."""
-
-    crash_ns: float
-    failed_shards: Tuple[int, ...]
-    #: Structural verdict of the workload validator.
-    consistent: bool
-    #: Inconsistent but caught by a detection channel (undecryptable
-    #: line, failed recovery) — acceptable for a mid-drain ADR loss.
-    detected: bool
-    #: Commits the barrier may still claim after the failure.
-    durable_commits: int
-    total_commits: int
-    #: Transaction prefix the recovered state actually matched.
-    matched_prefix: Optional[int]
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def reconciled(self) -> bool:
-        """Recovery never fell below the durable commit prefix."""
-        return not self.acked_commit_lost
-
-    @property
-    def acked_commit_lost(self) -> bool:
-        """A commit the barrier proved durable is missing — corruption."""
-        return (
-            self.consistent
-            and self.matched_prefix is not None
-            and self.matched_prefix < self.durable_commits
-        )
-
-    @property
-    def silent(self) -> bool:
-        return not self.consistent and not self.detected
-
-
-@dataclass
-class ShardFailureReport:
-    """Aggregate of one :func:`sweep_shard_failures` run."""
-
-    design: str
-    shards: int
-    outcomes: List[ShardFailureOutcome]
-
-    @property
-    def total(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def consistent(self) -> int:
-        return sum(1 for o in self.outcomes if o.consistent)
-
-    @property
-    def detected(self) -> int:
-        return sum(1 for o in self.outcomes if o.detected)
-
-    @property
-    def silent_failures(self) -> List[ShardFailureOutcome]:
-        return [o for o in self.outcomes if o.silent]
-
-    @property
-    def acked_losses(self) -> List[ShardFailureOutcome]:
-        return [o for o in self.outcomes if o.acked_commit_lost]
-
-    @property
-    def clean(self) -> bool:
-        """No silent corruption and no durable commit lost."""
-        return not self.silent_failures and not self.acked_losses
-
-
 def sweep_shard_failures(
     result: SimulationResult,
     run,
@@ -286,58 +218,56 @@ def sweep_shard_failures(
     subsets: Optional[Sequence[Iterable[int]]] = None,
     max_points: int = 24,
     adr_budget: Optional[int] = None,
-) -> ShardFailureReport:
+) -> Dict[str, int]:
     """Crash every shard subset at sampled instants and reconcile.
 
     ``run`` is the workload's :class:`~repro.workloads.base.WorkloadRun`
-    (``outcome.runs[core]``).  For each sampled crash instant and each
-    failed subset the sweep rebuilds the image, runs transaction
-    recovery, classifies the state structurally, and checks the
-    cross-shard reconciliation: the matched transaction prefix must
-    cover every commit :func:`durable_commit_prefix` still guarantees.
+    (``outcome.runs[core]``).  Each (instant, subset) point is one
+    :func:`~repro.crash.session.run_sharded_session` with a plain
+    session (no counter search, no tree check, no fault plan) over a
+    structural :class:`~repro.workloads.base.PrefixValidator`.
     Mid-drain ADR loss may cost *unacked* commits (they were never
     durable) and may surface as detected damage — what it must never
-    produce is silent corruption or a lost durable commit.
+    produce is a lost durable commit.
+
+    Returns the tally: ``points``; ``consistent`` (the validator
+    matched a prefix); ``detected``; ``torn_uncommitted`` (silent
+    without a matching prefix: a torn transaction the barrier never
+    acknowledged); ``acked_commit_lost`` (a matching prefix below the
+    durable commit prefix, which reconciliation makes silent).  The
+    first three partition ``points``.  A session whose recovery crashed
+    raises :class:`~repro.errors.RecoveryError`.
     """
     # Deferred import: workloads.base imports the txn recovery stack.
     from ..workloads.base import PrefixValidator
-    from .recovery import RecoveryManager
 
-    controller = result.controller
-    journals = _shard_journals(result)
-    shards = controller.shards
+    shards = len(_shard_journals(result))
     if subsets is None:
         subsets = [(s,) for s in range(shards)] + [tuple(range(shards))]
-    commits = controller.journal.commits
     injector = CrashInjector(result)
     times = uniform_sample(injector.interesting_times(limit=max_points), max_points)
-    manager = RecoveryManager(result.config.encryption)
     validator = PrefixValidator(run)
-    encrypted = result.policy.encrypts
-    outcomes: List[ShardFailureOutcome] = []
+    session = RecoverySession(result.config, encrypted=result.policy.encrypts)
+
+    tally = dict.fromkeys(
+        ("points", "consistent", "detected", "torn_uncommitted", "acked_commit_lost"), 0
+    )
     for crash_ns in times:
         for subset in subsets:
-            failed = tuple(sorted(set(subset)))
-            image = shard_crash_image(
-                result, crash_ns, failed, adr_budget=adr_budget
+            outcome = run_sharded_session(
+                session, result, crash_ns, subset, validator.classify,
+                core=core, adr_budget=adr_budget,
             )
-            recovered = manager.recover(image, encrypted=encrypted)
-            verdict = validator.classify(recovered)
-            prefix = durable_commit_prefix(
-                commits, journals, crash_ns, failed, adr_budget=adr_budget
-            )
-            outcomes.append(
-                ShardFailureOutcome(
-                    crash_ns=crash_ns,
-                    failed_shards=failed,
-                    consistent=verdict.consistent,
-                    detected=bool(verdict.detected),
-                    durable_commits=required_prefix_for_core(prefix, core),
-                    total_commits=len(commits),
-                    matched_prefix=verdict.matched_prefix,
-                    problems=list(verdict.detected) + list(verdict.silent),
+            verdict = outcome.verdict
+            if outcome.status is Status.CRASHED or verdict is None:
+                raise RecoveryError(
+                    "shard-subset recovery crashed at %.1f ns: %s"
+                    % (crash_ns, outcome.detail)
                 )
-            )
-    return ShardFailureReport(
-        design=result.policy.name, shards=shards, outcomes=outcomes
-    )
+            consistent = verdict.consistent
+            tally["points"] += 1
+            tally["consistent"] += consistent
+            tally["detected"] += outcome.status is Status.DETECTED
+            if outcome.status is Status.SILENT:
+                tally["acked_commit_lost" if consistent else "torn_uncommitted"] += 1
+    return tally

@@ -161,21 +161,6 @@ class MemoryController:
     # Read path (Figure 6)
     # ------------------------------------------------------------------
 
-    def _acquire_read_slot(self, request_ns: float) -> float:
-        """Wait for a read-queue entry; returns the adjusted start time."""
-        while self._read_slots and self._read_slots[0] <= request_ns:
-            heapq.heappop(self._read_slots)
-        if len(self._read_slots) < self._read_queue_capacity:
-            return request_ns
-        start = heapq.heappop(self._read_slots)
-        self.total_read_queue_wait_ns += start - request_ns
-        return start
-
-    def _release_read_slot(self, completion_ns: float) -> None:
-        heapq.heappush(self._read_slots, completion_ns)
-        if len(self._read_slots) > self.read_queue_peak:
-            self.read_queue_peak = len(self._read_slots)
-
     def read_line(self, address: int, request_ns: float) -> ReadResult:
         """Fetch and (if encrypted) decrypt one data line.
 
@@ -184,7 +169,8 @@ class MemoryController:
         (``docs/performance.md``) — because every simulated miss and
         counter fill funnels through here.
         """
-        # Read-queue slot (== _acquire_read_slot).
+        # Read-queue slot: retire entries whose data has arrived; when
+        # the queue is still full, wait for the earliest to free.
         slots = self._read_slots
         while slots and slots[0] <= request_ns:
             heapq.heappop(slots)
@@ -228,7 +214,7 @@ class MemoryController:
         bus.transfers += 1
         bus.bytes_moved += payload_bytes
         bus.busy_ns += duration
-        # Slot release (== _release_read_slot).
+        # The slot stays held until the data arrives; track the peak.
         heapq.heappush(slots, data_arrival)
         if len(slots) > self.read_queue_peak:
             self.read_queue_peak = len(slots)

@@ -13,7 +13,6 @@ scenario runner behind ``repro-bench serve``
 from .kv import (
     ServiceRun,
     ServiceValidator,
-    ServiceVerdict,
     ServiceWorkload,
     TenantKV,
     build_tenant_arenas,
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceRun",
     "ServiceRunner",
     "ServiceValidator",
-    "ServiceVerdict",
     "ServiceWorkload",
     "TenantKV",
     "TrafficSpec",

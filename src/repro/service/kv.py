@@ -32,25 +32,28 @@ no acknowledged-write loss, no cross-tenant leakage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..crash.recovery import RecoveredMemory
 from ..crash.session import RecoveryContext
-from ..errors import DecryptionFailure, HeapError, ServiceError, TransactionError
+from ..crash.verdict import (
+    Verdict,
+    covers,
+    largest_matching_prefix,
+    prefix_states,
+    replay,
+    required_prefix,
+)
+from ..errors import DecryptionFailure, HeapError, ServiceError
 from ..nvm.address import AddressMap
 from ..sim.trace import Trace, TraceBuilder
-from ..txn.checksum_undo import recover_checksummed_undo
 from ..txn.heap import LOG_ENTRY_BYTES, CoreArena, PersistentHeap
-from ..txn.manager import make_transactions
-from ..txn.redolog import recover_redo_log
-from ..txn.undolog import recover_undo_log
+from ..txn.manager import RECOVERERS, make_transactions
 from ..utils.bitops import align_down
 from ..workloads.base import LineModel, RecordedTxn, TxnRecorder
 from .traffic import Operation
-
-_ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
 #: Slot sentinel: never-written key.
 EMPTY_KEY = 0
@@ -68,13 +71,6 @@ _MASK64 = (1 << 64) - 1
 _META_NBUCKETS = 0
 _META_TABLE_BASE = 8
 _META_GENERATION = 16
-
-#: Mechanism name -> arena recovery procedure.
-_RECOVERERS: Dict[str, Callable[..., List[int]]] = {
-    "undo": recover_undo_log,
-    "redo": recover_redo_log,
-    "checksum-undo": recover_checksummed_undo,
-}
 
 
 def build_tenant_arenas(
@@ -427,9 +423,9 @@ class ServiceWorkload:
         use_index: bool = True,
         name: str = "kv-service",
     ) -> None:
-        if mechanism not in _RECOVERERS:
+        if mechanism not in RECOVERERS:
             raise ServiceError(
-                "service mechanism must be one of %s" % (tuple(_RECOVERERS),)
+                "service mechanism must be one of %s" % (tuple(RECOVERERS),)
             )
         self.config = config
         self.mechanism = mechanism
@@ -538,44 +534,13 @@ class ServiceRun:
         return spans
 
 
-@dataclass
-class TenantVerdict:
-    """One tenant's post-crash classification."""
-
-    tenant: int
-    consistent: bool
-    detected: List[str] = field(default_factory=list)
-    silent: List[str] = field(default_factory=list)
-    #: Largest matching tenant-local prefix (None = none matched).
-    matched_prefix: Optional[int] = None
-    #: Smallest prefix acknowledged-commit durability requires.
-    required_prefix: int = 0
-
-
-@dataclass
-class ServiceVerdict:
-    """Aggregate verdict across all tenants.
-
-    Shape-compatible with the classifier contract of
-    :class:`~repro.crash.session.RecoverySession` (``consistent`` /
-    ``detected`` / ``silent``), with per-tenant detail on the side.
-    """
-
-    consistent: bool
-    detected: List[str] = field(default_factory=list)
-    silent: List[str] = field(default_factory=list)
-    tenants: List[TenantVerdict] = field(default_factory=list)
-
-    @property
-    def problems(self) -> List[str]:
-        return self.detected + self.silent
-
-    def tenant_prefixes(self) -> Dict[int, Optional[int]]:
-        return {t.tenant: t.matched_prefix for t in self.tenants}
-
-
 class ServiceValidator:
-    """Per-tenant prefix validation over a recovered service memory."""
+    """Per-tenant prefix validation over a recovered service memory.
+
+    The verdict is shape-compatible with the classifier contract of
+    :class:`~repro.crash.session.RecoverySession`, with one
+    :class:`~repro.crash.verdict.Verdict` per tenant in ``tenants``.
+    """
 
     def __init__(
         self,
@@ -594,48 +559,30 @@ class ServiceValidator:
                 % (len(self.txn_end_times), len(run.commit_order))
             )
         self._prefix_states = [
-            self._build_prefix_states(history) for history in run.tenant_histories
+            prefix_states({}, history) for history in run.tenant_histories
         ]
         # Tenant-local txn index -> global txn index, per tenant.
-        self._tenant_global: List[List[int]] = [[] for _ in run.arenas]
+        tenant_global: List[List[int]] = [[] for _ in run.arenas]
         for global_index, record in enumerate(run.commit_order):
-            locals_ = self._tenant_global[record.tenant]
+            locals_ = tenant_global[record.tenant]
             if record.local_index != len(locals_):
                 raise ServiceError(
                     "commit order is inconsistent with tenant %d history"
                     % record.tenant
                 )
             locals_.append(global_index)
-
-    @staticmethod
-    def _build_prefix_states(
-        history: List[RecordedTxn],
-    ) -> List[Dict[int, bytes]]:
-        states: List[Dict[int, bytes]] = [{}]
-        current: Dict[int, bytes] = {}
-        for txn in history:
-            for line, _old, new in txn.writes:
-                current[line] = new
-            states.append(dict(current))
-        return states
-
-    def _required_prefix(self, tenant: int, crash_ns: float) -> int:
-        if self.txn_end_times is None:
-            return 0
-        required = 0
-        for local_index, global_index in enumerate(self._tenant_global[tenant]):
-            if self.txn_end_times[global_index] <= crash_ns:
-                required = local_index + 1
-        return required
-
-    def __call__(self, recovered: RecoveredMemory) -> List[str]:
-        return self.classify(recovered).problems
+        ends = self.txn_end_times
+        #: Per tenant, its transactions' end times in tenant-local order.
+        self._tenant_end_times: List[Optional[List[float]]] = [
+            None if ends is None else [ends[index] for index in indices]
+            for indices in tenant_global
+        ]
 
     def classify(
         self,
         recovered: RecoveredMemory,
         context: Optional[RecoveryContext] = None,
-    ) -> ServiceVerdict:
+    ) -> Verdict:
         """Recover every arena, then validate each tenant's prefix.
 
         Detection-channel exceptions (decryption failures, corrupt
@@ -646,25 +593,23 @@ class ServiceValidator:
         """
         run = self.run
         crash_ns = recovered.image.crash_ns
-        verdict = ServiceVerdict(consistent=False)
-        recover = _RECOVERERS[run.mechanism]
-        context = context or RecoveryContext()
-        try:
-            for arena in run.arenas:
-                recover(recovered, arena, context=context)
-        except DecryptionFailure as failure:
-            verdict.detected.append("recovery hit undecryptable line: %s" % failure)
-            return verdict
-        except TransactionError as failure:
-            verdict.detected.append("recovery failed: %s" % failure)
+        verdict = Verdict()
+        problem = replay(
+            RECOVERERS[run.mechanism],
+            recovered,
+            run.arenas,
+            context or RecoveryContext(),
+        )
+        if problem is not None:
+            verdict.detected.append(problem)
             return verdict
 
         consistent = True
         for tenant, arena in enumerate(run.arenas):
-            tenant_verdict = TenantVerdict(
-                tenant=tenant,
-                consistent=False,
-                required_prefix=self._required_prefix(tenant, crash_ns),
+            tenant_verdict = Verdict(
+                required_prefix=required_prefix(
+                    self._tenant_end_times[tenant], crash_ns
+                ),
             )
             verdict.tenants.append(tenant_verdict)
             tracked = sorted(run.tenant_tracked_lines(tenant))
@@ -692,18 +637,10 @@ class ServiceValidator:
                 verdict.silent.extend(tenant_verdict.silent)
                 consistent = False
                 continue
-            states = self._prefix_states[tenant]
-            for j in range(len(states) - 1, -1, -1):
-                state = states[j]
-                if all(
-                    values[line] == state.get(line, _ZERO_LINE) for line in tracked
-                ):
-                    tenant_verdict.matched_prefix = j
-                    break
-            if (
-                tenant_verdict.matched_prefix is not None
-                and tenant_verdict.matched_prefix >= tenant_verdict.required_prefix
-            ):
+            tenant_verdict.matched_prefix = largest_matching_prefix(
+                values, tracked, self._prefix_states[tenant]
+            )
+            if covers(tenant_verdict.matched_prefix, tenant_verdict.required_prefix):
                 tenant_verdict.consistent = True
                 continue
             consistent = False

@@ -33,6 +33,7 @@ from ..core.designs import get_design
 from ..crash.campaign import JobJournal, job_key
 from ..crash.injector import CrashInjector
 from ..crash.session import RecoverySession
+from ..crash.verdict import Status
 from ..errors import ServiceError
 from ..faults import make_fault_model
 from ..sim.machine import Machine
@@ -185,16 +186,14 @@ def run_service_job(job: ServiceJob) -> Dict[str, object]:
         recoverer=recoverer,
         tree_checked=policy.integrity_tree,
     )
-
-    def classify(recovered, context):
-        return validator.classify(recovered, context=context)
-
-    session_result = session.run(image, classify)
+    session_result = session.run(image, validator.classify)
     verdict = session_result.verdict
 
     slos = summarize_tenants(spec, timings, crash_ns=crash_ns)
     prefixes: Dict[int, Optional[int]] = (
-        verdict.tenant_prefixes() if verdict is not None else {}
+        {tenant: v.matched_prefix for tenant, v in enumerate(verdict.tenants)}
+        if verdict is not None
+        else {}
     )
     # op index -> (tenant, last tenant-local txn index): an operation's
     # effects survived iff its last transaction is inside the tenant's
@@ -225,7 +224,7 @@ def run_service_job(job: ServiceJob) -> Dict[str, object]:
 
     document["crash"] = {
         "crash_ns": round(crash_ns, 3),
-        "status": session_result.status,
+        "status": session_result.status.value,
         "detail": session_result.detail,
         "nested_injected": session_result.nested_injected,
         "via_search": session_result.via_search,
@@ -233,7 +232,7 @@ def run_service_job(job: ServiceJob) -> Dict[str, object]:
         "detected": list(verdict.detected) if verdict is not None else [],
         "silent": list(verdict.silent) if verdict is not None else [],
     }
-    document["status"] = session_result.status
+    document["status"] = session_result.status.value
     document["consistent"] = verdict.consistent if verdict is not None else False
     document["tenants"] = [slo.as_dict(crash_ns) for slo in slos]
     document["totals"] = _totals(slos, crash_ns)
@@ -291,7 +290,7 @@ class ServiceReport:
 
     @property
     def crashed(self) -> int:
-        return sum(1 for r in self.results if r["status"] == "crashed")
+        return sum(1 for r in self.results if r["status"] == Status.CRASHED.value)
 
     @property
     def durability_violations(self) -> int:

@@ -19,10 +19,10 @@ from typing import Callable, Dict, List, Tuple, Union
 from ..errors import TransactionError
 from ..persist.journal import PersistJournal
 from ..sim.trace import TraceBuilder
-from .checksum_undo import ChecksummedUndoLog
+from .checksum_undo import ChecksummedUndoLog, recover_checksummed_undo
 from .heap import CoreArena
-from .redolog import RedoLogTransactions
-from .undolog import UndoLogTransactions
+from .redolog import RedoLogTransactions, recover_redo_log
+from .undolog import UndoLogTransactions, recover_undo_log
 
 
 class TransactionMechanism(enum.Enum):
@@ -30,6 +30,13 @@ class TransactionMechanism(enum.Enum):
     REDO = "redo"
     CHECKSUM_UNDO = "checksum-undo"
 
+
+#: Mechanism name -> post-crash recovery procedure over one arena.
+RECOVERERS: Dict[str, Callable[..., List[int]]] = {
+    TransactionMechanism.UNDO.value: recover_undo_log,
+    TransactionMechanism.REDO.value: recover_redo_log,
+    TransactionMechanism.CHECKSUM_UNDO.value: recover_checksummed_undo,
+}
 
 #: Any concrete line-transaction generator.
 LineTransactions = Union[

@@ -13,19 +13,24 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from ..crash.recovery import RecoveredMemory
 from ..crash.session import RecoveryContext
+from ..crash.verdict import (
+    Verdict,
+    covers,
+    largest_matching_prefix,
+    prefix_states,
+    replay,
+    required_prefix,
+)
 from ..errors import DecryptionFailure, TransactionError, WorkloadError
 from ..sim.trace import TraceBuilder
 from ..txn.heap import CoreArena
-from ..txn.manager import LineTransactions, apply_line_writes
-from ..txn.checksum_undo import recover_checksummed_undo
-from ..txn.redolog import recover_redo_log
-from ..txn.undolog import UndoLogTransactions, recover_undo_log
+from ..txn.manager import RECOVERERS, LineTransactions, apply_line_writes
 from ..utils.bitops import align_down, bytes_to_u64, u64_to_bytes
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
@@ -202,48 +207,16 @@ class TxnRecorder:
         self._staged = None
 
 
-@dataclass
-class ValidationVerdict:
-    """Structured outcome of one post-crash validation.
-
-    Separates what a real system could *observe* from what only the
-    simulator's oracle knows: ``detected`` problems were reported
-    through a detection channel (decryption failures, corrupt-record
-    checks), while ``silent`` problems are states recovery accepted
-    without complaint that nonetheless fail the prefix oracle — the
-    dangerous bucket a fault campaign exists to find.
-    """
-
-    consistent: bool
-    detected: List[str] = field(default_factory=list)
-    silent: List[str] = field(default_factory=list)
-    #: Largest history prefix the recovered state matches (None = none).
-    matched_prefix: Optional[int] = None
-    #: Smallest prefix commit durability requires at this crash time.
-    required_prefix: int = 0
-
-    @property
-    def problems(self) -> List[str]:
-        return self.detected + self.silent
-
-    @property
-    def durability_lost(self) -> bool:
-        """Consistent-looking state that dropped an acknowledged commit."""
-        return (
-            self.matched_prefix is not None
-            and self.matched_prefix < self.required_prefix
-        )
-
-
 class PrefixValidator:
     """Checks a recovered memory against the transaction history.
 
-    Consistency criterion: after running the mechanism's recovery
-    procedure, every tracked line must equal its value in the state
-    reached by applying some prefix ``txns[0..j]`` to the initial
-    image.  Additionally, any transaction whose commit completed before
-    the crash (its ``txn_end`` trace time is known) must be included in
-    that prefix — durability of acknowledged commits.
+    Consistency criterion (:mod:`repro.crash.verdict`): after running
+    the mechanism's recovery procedure, every tracked line must equal
+    its value in the state reached by applying some prefix
+    ``txns[0..j]`` to the initial image.  Additionally, any transaction
+    whose commit completed before the crash (its ``txn_end`` trace time
+    is known) must be included in that prefix — durability of
+    acknowledged commits.
     """
 
     def __init__(
@@ -253,26 +226,7 @@ class PrefixValidator:
     ) -> None:
         self.run = run
         self.txn_end_times = list(txn_end_times) if txn_end_times is not None else None
-        self._prefix_states = self._build_prefix_states()
-
-    def _build_prefix_states(self) -> List[Dict[int, bytes]]:
-        states: List[Dict[int, bytes]] = []
-        current = dict(self.run.initial_image)
-        states.append(dict(current))
-        for txn in self.run.history:
-            for line, _old, new in txn.writes:
-                current[line] = new
-            states.append(dict(current))
-        return states
-
-    def _min_required_prefix(self, crash_ns: float) -> int:
-        if self.txn_end_times is None:
-            return 0
-        required = 0
-        for index, end_ns in enumerate(self.txn_end_times):
-            if end_ns <= crash_ns:
-                required = index + 1
-        return required
+        self._prefix_states = prefix_states(run.initial_image, run.history)
 
     def __call__(self, recovered: RecoveredMemory) -> List[str]:
         return self.classify(recovered).problems
@@ -281,7 +235,7 @@ class PrefixValidator:
         self,
         recovered: RecoveredMemory,
         context: Optional[RecoveryContext] = None,
-    ) -> ValidationVerdict:
+    ) -> Verdict:
         """Full verdict: detected vs silent problems, prefix bookkeeping.
 
         Exceptions other than the mechanism's own detection channels
@@ -293,22 +247,14 @@ class PrefixValidator:
         session's to handle, never a verdict.
         """
         run = self.run
-        minimum = self._min_required_prefix(recovered.image.crash_ns)
-        verdict = ValidationVerdict(consistent=False, required_prefix=minimum)
-        try:
-            if run.mechanism == "undo":
-                recover_undo_log(recovered, run.arena, context=context)
-            elif run.mechanism == "redo":
-                recover_redo_log(recovered, run.arena, context=context)
-            elif run.mechanism == "checksum-undo":
-                recover_checksummed_undo(recovered, run.arena, context=context)
-            else:
-                raise WorkloadError("unknown mechanism %r" % run.mechanism)
-        except DecryptionFailure as failure:
-            verdict.detected.append("recovery hit undecryptable line: %s" % failure)
-            return verdict
-        except TransactionError as failure:
-            verdict.detected.append("recovery failed: %s" % failure)
+        minimum = required_prefix(self.txn_end_times, recovered.image.crash_ns)
+        verdict = Verdict(required_prefix=minimum)
+        recover = RECOVERERS.get(run.mechanism)
+        if recover is None:
+            raise WorkloadError("unknown mechanism %r" % run.mechanism)
+        problem = replay(recover, recovered, (run.arena,), context)
+        if problem is not None:
+            verdict.detected.append(problem)
             return verdict
 
         tracked = sorted(run.tracked_lines())
@@ -323,15 +269,10 @@ class PrefixValidator:
         if verdict.detected:
             return verdict
 
-        for j in range(len(self._prefix_states) - 1, -1, -1):
-            state = self._prefix_states[j]
-            if all(
-                recovered_values[line] == state.get(line, _ZERO_LINE)
-                for line in tracked
-            ):
-                verdict.matched_prefix = j
-                break
-        if verdict.matched_prefix is not None and verdict.matched_prefix >= minimum:
+        verdict.matched_prefix = largest_matching_prefix(
+            recovered_values, tracked, self._prefix_states
+        )
+        if covers(verdict.matched_prefix, minimum):
             verdict.consistent = True
             return verdict
         if verdict.matched_prefix is not None:

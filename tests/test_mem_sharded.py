@@ -164,17 +164,38 @@ class TestDurablePrefix:
 
 class TestSubsetFailures:
     def test_sweep_never_loses_a_durable_commit(self, sharded_run):
-        report = sweep_shard_failures(
+        tally = sweep_shard_failures(
             sharded_run.result, sharded_run.runs[0], max_points=8
         )
-        assert report.shards == 4
-        assert report.total > 0
-        assert report.acked_losses == []
-        # Every outcome is accounted: consistent, detected, or a torn
+        assert tally["points"] > 0
+        assert tally["acked_commit_lost"] == 0
+        # Every point is accounted: consistent, detected, or a torn
         # uncommitted transaction (documented physics, never a durable
         # loss — see docs/sharding.md).
-        for outcome in report.outcomes:
-            assert outcome.reconciled
+        assert (
+            tally["consistent"] + tally["detected"] + tally["torn_uncommitted"]
+            == tally["points"]
+        )
+
+    def test_sweep_counts_a_lost_durable_commit(self, sharded_run, monkeypatch):
+        # Claim more durable commits than the run made: every consistent
+        # verdict now falls below the durable prefix, so reconciliation
+        # turns it silent and the tally must count it as a lost acked
+        # commit, never as a torn uncommitted transaction.
+        baseline = sweep_shard_failures(
+            sharded_run.result, sharded_run.runs[0], max_points=2
+        )
+        monkeypatch.setattr(
+            "repro.crash.sharded.required_prefix_for_core",
+            lambda prefix, core: 10**6,
+        )
+        tally = sweep_shard_failures(
+            sharded_run.result, sharded_run.runs[0], max_points=2
+        )
+        assert baseline["consistent"] > 0
+        assert tally["acked_commit_lost"] == baseline["consistent"]
+        assert tally["consistent"] == baseline["consistent"]
+        assert tally["torn_uncommitted"] == baseline["torn_uncommitted"]
 
     def test_session_reconciliation(self, sharded_run):
         result = sharded_run.result
